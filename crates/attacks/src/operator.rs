@@ -13,11 +13,7 @@
 //! purely from the TTL the router already decrements on every hop, the
 //! way a real match-action table would (TTL is a header field; flow
 //! state keyed on switch-internal packet ids is not implementable on
-//! hardware anyway). Statelessness is also what makes the program safe
-//! under the domain-parallel engine: it never reads `pkt.id` of packets
-//! it did not create, so the packet-id contract
-//! (`docs/parallel-domains.md`) holds and scenarios using it stay
-//! `--sim-threads` eligible.
+//! hardware anyway).
 
 use crate::privilege::{AttackDescriptor, Privilege, Target};
 use dui_netsim::node::{DataPlaneProgram, Verdict};

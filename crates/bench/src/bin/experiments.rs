@@ -14,13 +14,6 @@
 //! thread count (default: all cores); the CSVs are byte-identical for
 //! every `N` — see `dui_bench::par` for the determinism contract.
 //!
-//! `--sim-threads N` additionally shards the *simulator itself* (the
-//! packet engine's domain-parallel mode, `dui_core::netsim::parallel`)
-//! for the stages whose node programs honor the packet-id contract —
-//! currently `blink-packet`, `defenses` and `parallel-scaling`.
-//! Results are byte-identical for every `N` there too; other stages
-//! ignore the flag.
-//!
 //! `--workers N` sets the `supervisord` stage's pipeline worker-thread
 //! count (folded into its swept set; the verdict log written to
 //! `results/supervisord_verdicts.jsonl` is byte-identical for every
@@ -108,8 +101,8 @@ fn metrics_summary(per_stage: &[(&str, &StageOutput)]) -> Table {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments [{} | all] [--jobs N] [--sim-threads N] [--workers N] [--metrics]\n\
-         \x20      experiments scenario <FILE|DIR> [--jobs N] [--sim-threads N]\n\
+        "usage: experiments [{} | all] [--jobs N] [--workers N] [--metrics]\n\
+         \x20      experiments scenario <FILE|DIR> [--jobs N]\n\
          \x20      experiments record <{}> [--out FILE] [--ckpt-every N]\n\
          \x20      experiments replay <FILE> [--check] [--resume <idx|mid>]",
         STAGE_NAMES.join(" | "),
@@ -126,7 +119,6 @@ fn cmd_scenario(args: &[String]) -> ! {
     use dui_bench::scenario::{collect_files, load, run_corpus};
     let mut path: Option<PathBuf> = None;
     let mut jobs = default_jobs();
-    let mut sim_threads = 0usize;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -135,12 +127,6 @@ fn cmd_scenario(args: &[String]) -> ! {
             }
             s if s.starts_with("--jobs=") => {
                 jobs = s["--jobs=".len()..].parse().unwrap_or_else(|_| usage());
-            }
-            "--sim-threads" => {
-                sim_threads = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            s if s.starts_with("--sim-threads=") => {
-                sim_threads = s["--sim-threads=".len()..].parse().unwrap_or_else(|_| usage());
             }
             s if path.is_none() && !s.starts_with('-') => path = Some(PathBuf::from(s)),
             _ => usage(),
@@ -159,7 +145,7 @@ fn cmd_scenario(args: &[String]) -> ! {
             std::process::exit(2);
         }
     };
-    let report = run_corpus(&compiled, jobs, sim_threads);
+    let report = run_corpus(&compiled, jobs);
     print!("{}", report.text);
     std::fs::create_dir_all(results_dir()).expect("create results dir");
     let csv_path = results_dir().join("scenarios.csv");
@@ -290,7 +276,6 @@ fn cmd_replay(args: &[String]) -> ! {
 fn main() {
     let mut which: Option<String> = None;
     let mut jobs = default_jobs();
-    let mut sim_threads = 0usize; // 0 = leave the simulator sequential
     let mut workers = StageCfg::default().workers;
     let mut metrics = false;
     let mut args = std::env::args().skip(1);
@@ -316,21 +301,6 @@ fn main() {
                     usage();
                 }
             }
-            "--sim-threads" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                sim_threads = v.parse().unwrap_or_else(|_| usage());
-                if sim_threads == 0 {
-                    usage();
-                }
-            }
-            s if s.starts_with("--sim-threads=") => {
-                sim_threads = s["--sim-threads=".len()..]
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-                if sim_threads == 0 {
-                    usage();
-                }
-            }
             "--workers" => {
                 let v = args.next().unwrap_or_else(|| usage());
                 workers = v.parse().unwrap_or_else(|_| usage());
@@ -350,11 +320,7 @@ fn main() {
         }
     }
     let which = which.unwrap_or_else(|| "all".to_string());
-    let cfg = StageCfg {
-        jobs,
-        sim_threads,
-        workers,
-    };
+    let cfg = StageCfg { jobs, workers };
     if metrics {
         wallclock::enable(true);
     }

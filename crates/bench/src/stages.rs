@@ -74,7 +74,6 @@ pub const STAGE_NAMES: &[&str] = &[
     "survey",
     "fuzz",
     "lint",
-    "parallel-scaling",
     "supervisord",
     "flow-scale",
 ];
@@ -85,9 +84,6 @@ pub const STAGE_NAMES: &[&str] = &[
 pub struct StageCfg {
     /// Harness worker threads for replicated work inside a stage.
     pub jobs: usize,
-    /// Simulation-engine thread count (0 = sequential); consumed only
-    /// by the id-contract-clean packet-level stages.
-    pub sim_threads: usize,
     /// Supervisord pipeline worker threads; consumed only by the
     /// `supervisord` stage, whose verdict log is byte-identical for
     /// every value.
@@ -98,7 +94,6 @@ impl Default for StageCfg {
     fn default() -> Self {
         StageCfg {
             jobs: 1,
-            sim_threads: 0,
             workers: 2,
         }
     }
@@ -107,21 +102,10 @@ impl Default for StageCfg {
 /// Run one stage by CLI name with `jobs` worker threads. `None` for an
 /// unknown name.
 pub fn run_stage(name: &str, jobs: usize) -> Option<StageOutput> {
-    run_stage_opts(name, jobs, 0)
-}
-
-/// [`run_stage`] with the simulation-engine thread count. `sim_threads`
-/// is consumed only by the packet-level stages whose node logic is
-/// certified id-stable (`blink-packet`, `defenses`, `parallel-scaling`);
-/// every other stage runs its simulators sequentially regardless (see
-/// the determinism-contract chapter in `docs/` for the `pkt.id` rule
-/// that gates this).
-pub fn run_stage_opts(name: &str, jobs: usize, sim_threads: usize) -> Option<StageOutput> {
     run_stage_cfg(
         name,
         &StageCfg {
             jobs,
-            sim_threads,
             ..StageCfg::default()
         },
     )
@@ -130,21 +114,19 @@ pub fn run_stage_opts(name: &str, jobs: usize, sim_threads: usize) -> Option<Sta
 /// [`run_stage`] with the full option bundle.
 pub fn run_stage_cfg(name: &str, cfg: &StageCfg) -> Option<StageOutput> {
     let jobs = cfg.jobs;
-    let sim_threads = cfg.sim_threads;
     Some(match name {
         "fig2" => fig2(jobs),
         "fig2-rates" => fig2_rates(jobs),
         "blink-sweep" => blink_sweep(jobs),
         "caida-residency" => caida_residency(jobs),
-        "blink-packet" => blink_packet(jobs, sim_threads),
+        "blink-packet" => blink_packet(jobs),
         "pytheas" => pytheas(jobs),
         "pcc" => pcc(jobs),
         "nethide" => nethide(jobs),
-        "defenses" => defenses_opts(jobs, sim_threads),
+        "defenses" => defenses(jobs),
         "survey" => survey(jobs),
         "fuzz" => fuzz(jobs),
         "lint" => lint(jobs),
-        "parallel-scaling" => parallel_scaling(sim_threads),
         "supervisord" => supervisord_stage(&SupervisordOpts::scaled(cfg.workers), jobs),
         "flow-scale" => flow_scale_with(&FlowScaleOpts::from_env(), jobs),
         _ => return None,
@@ -592,10 +574,8 @@ pub fn caida_residency(jobs: usize) -> StageOutput {
 /// C4 — the packet-level Blink experiment (the paper's mininet+P4 run):
 /// 2000 legitimate + 105 malicious flows, occupancy over time, then the
 /// trigger and the reroute; guarded variant alongside (the two
-/// simulations run concurrently). `sim_threads > 0` runs each simulator
-/// under the sharded parallel engine — the CSV and metrics are
-/// byte-identical at any thread count.
-pub fn blink_packet(jobs: usize, sim_threads: usize) -> StageOutput {
+/// simulations run concurrently).
+pub fn blink_packet(jobs: usize) -> StageOutput {
     let mut out = StageOutput::default();
     let mut report = String::new();
     let r = &mut report;
@@ -615,9 +595,6 @@ pub fn blink_packet(jobs: usize, sim_threads: usize) -> StageOutput {
             ..Default::default()
         };
         let mut sc = BlinkScenario::build(&cfg);
-        if sim_threads > 0 {
-            sc.sim.set_sim_threads(sim_threads);
-        }
         let mut occupancy = Vec::new();
         for t in (0..=250).step_by(25) {
             sc.sim.run_until(SimTime::from_secs(t));
@@ -659,104 +636,6 @@ pub fn blink_packet(jobs: usize, sim_threads: usize) -> StageOutput {
         "guarded (§5 RTO check): reroutes={g_reroutes}, vetoed={g_vetoed}, on_primary={g_on_primary}\n"
     );
     out.table("blink_packet.csv", csv);
-    out.report = report;
-    out
-}
-
-/// Parallel-engine scaling measurement: the packet-level Blink scenario
-/// (reduced horizon) run to completion at `--sim-threads` 1, 2, 4, and
-/// 8, reporting wall-clock, barrier-window counts, and the final state
-/// hash per thread count. State hashes must agree bit-for-bit — that
-/// column is the stage's self-check, and a mismatch fails the stage.
-/// Wall-clock columns are measurements and legitimately vary between
-/// machines and runs; everything else in the CSV is deterministic.
-pub fn parallel_scaling(requested: usize) -> StageOutput {
-    use dui_core::netsim::parallel::ParallelOutcome;
-
-    let mut out = StageOutput::default();
-    let mut report = String::new();
-    let r = &mut report;
-    let _ = writeln!(
-        r,
-        "== parallel engine scaling (packet-level Blink, reduced horizon) =="
-    );
-    if requested > 0 {
-        let _ = writeln!(r, "(--sim-threads {requested} requested; sweeping 1..=8 anyway)");
-    }
-    let _ = writeln!(r);
-    let cfg = BlinkScenarioConfig {
-        legit_flows: 400,
-        malicious_flows: 105,
-        mean_lifetime_secs: 6.37,
-        trigger_at: Some(SimTime::from_secs(60)),
-        guarded: false,
-        horizon: SimDuration::from_secs(80),
-        seed: 21,
-        ..Default::default()
-    };
-    let mut csv = Table::new([
-        "threads",
-        "domains",
-        "windows",
-        "wall_s",
-        "state_hash",
-        "matches_t1",
-        "fallbacks",
-    ]);
-    let mut show = Table::new(["threads", "domains", "windows", "wall [s]", "speedup", "hash ok"]);
-    let mut base: Option<(u64, f64)> = None; // (hash at 1 thread, wall)
-    for threads in [1usize, 2, 4, 8] {
-        let mut sc = BlinkScenario::build(&cfg);
-        sc.sim.set_sim_threads(threads);
-        let t0 = std::time::Instant::now();
-        sc.sim.run_until(SimTime::from_secs(80));
-        let wall = t0.elapsed().as_secs_f64();
-        let hash = sc.sim.state_hash();
-        let (domains, windows) = match sc.sim.last_parallel_outcome() {
-            Some(ParallelOutcome::Ran(rep)) => (rep.domains, rep.windows),
-            // lint: allow(panic): a fallback here means the scaling numbers would be fiction
-            other => panic!("scaling stage expects the parallel engine to run, got {other:?}"),
-        };
-        if threads == 1 {
-            base = Some((hash, wall));
-            out.metrics = sc.metrics().with_prefix("t1.");
-        }
-        // lint: allow(panic): threads=1 is the first sweep entry by construction
-        let (base_hash, base_wall) = base.expect("1-thread run comes first");
-        assert_eq!(
-            hash, base_hash,
-            "state hash diverged at {threads} threads — determinism contract broken"
-        );
-        let fallbacks = sc
-            .sim
-            .metrics_snapshot()
-            .counter("netsim.parallel.fallback");
-        csv.row([
-            threads.to_string(),
-            domains.to_string(),
-            windows.to_string(),
-            format!("{wall:.3}"),
-            format!("{hash:016x}"),
-            "yes".to_string(),
-            fallbacks.to_string(),
-        ]);
-        show.row([
-            threads.to_string(),
-            domains.to_string(),
-            windows.to_string(),
-            format!("{wall:.2}"),
-            format!("{:.2}x", base_wall / wall),
-            "yes".to_string(),
-        ]);
-    }
-    let _ = writeln!(r, "{}", show.to_text());
-    let _ = writeln!(
-        r,
-        "state hashes identical across all thread counts: OK\n\
-         (speedups are wall-clock measurements on this machine; on a single\n\
-         hardware core the threaded runs cannot beat 1 worker)\n"
-    );
-    out.table("parallel_scaling.csv", csv);
     out.report = report;
     out
 }
@@ -1125,15 +1004,6 @@ pub fn nethide(jobs: usize) -> StageOutput {
 /// countermeasure, one row per case study; the six simulations run
 /// concurrently.
 pub fn defenses(jobs: usize) -> StageOutput {
-    defenses_opts(jobs, 0)
-}
-
-/// [`defenses`] with the simulation-engine thread count. Only the two
-/// packet-level Blink runs are affected; since the `BounceProgram`
-/// rework removed the last foreign-`pkt.id` read in node logic, the
-/// stage is id-contract clean and its output is byte-identical at any
-/// `sim_threads`.
-pub fn defenses_opts(jobs: usize, sim_threads: usize) -> StageOutput {
     let mut out = StageOutput::default();
     let mut report = String::new();
     let r = &mut report;
@@ -1156,9 +1026,6 @@ pub fn defenses_opts(jobs: usize, sim_threads: usize) -> StageOutput {
             ..Default::default()
         };
         let mut sc = BlinkScenario::build(&cfg);
-        if sim_threads > 0 {
-            sc.sim.set_sim_threads(sim_threads);
-        }
         sc.sim.run_until(SimTime::from_secs(70));
         let snap = sc.metrics();
         (snap.counter("blink.reroutes") as f64, snap)
@@ -1833,8 +1700,7 @@ pub fn supervisord_stage(opts: &SupervisordOpts, jobs: usize) -> StageOutput {
         };
         let run = supervisord::run(&cfg, sources(&frame_sets));
         let wall = t0.elapsed().as_secs_f64();
-        // In-stage determinism self-check, same spirit as the
-        // parallel-scaling hash column: the verdict log must not
+        // In-stage determinism self-check: the verdict log must not
         // depend on the worker count or on the injected clock.
         assert_eq!(
             run.to_jsonl(),

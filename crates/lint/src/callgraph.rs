@@ -326,7 +326,7 @@ fn resolve_call(
         return Resolution::Skip; // `Some(`, `Vec(`-style constructors
     }
     // Multi-segment path: splice the head through the use table first
-    // (`parallel::run(...)` with `use dui_netsim::parallel;`).
+    // (`channel::bounded(...)` with `use dui_telemetry::channel;`).
     if let Some(u) = scan.resolve_use(&segs[0]) {
         if u.path.len() > 1 || u.path.first() != Some(&segs[0]) {
             let mut full = u.path.clone();

@@ -2,11 +2,10 @@
 //! concurrent subsystems are deadlocks waiting for the right
 //! interleaving.
 //!
-//! Scope: the domain-parallel engine (`crates/netsim/src/parallel/`),
-//! the streaming detection pipeline (`crates/supervisord/src/`), and
-//! the bounded telemetry channel (`crates/telemetry/src/channel.rs`)
-//! — the three places in the workspace where `std::sync` guards
-//! actually contend.
+//! Scope: the streaming detection pipeline (`crates/supervisord/src/`)
+//! and the bounded telemetry channel (`crates/telemetry/src/channel.rs`)
+//! — the two places in the workspace where `std::sync` guards actually
+//! contend.
 //!
 //! Per function the rule recovers the *lock-acquisition sequence*: a
 //! `.lock()` call is an acquisition of a named lock identity (the
@@ -27,7 +26,7 @@
 //! reported once each, with every constituent edge's witness site.
 //! Self-edges are deliberately not reported: `slots[i]` vs `slots[j]`
 //! collapse to one identity, and flagging `A -> A` would false-positive
-//! every sharded-slot pattern the engine is built on.
+//! every sharded-slot pattern the pipeline is built on.
 //!
 //! Escape hatch: `// lint: allow(lock-order): <reason>` on the
 //! acquisition line (or the line above) drops that acquisition from
@@ -46,9 +45,7 @@ pub const ALLOW: &str = "lint: allow(lock-order)";
 
 /// Files whose lock acquisitions participate in the order graph.
 fn in_scope(path: &str) -> bool {
-    path.starts_with("crates/netsim/src/parallel/")
-        || path.starts_with("crates/supervisord/src/")
-        || path == "crates/telemetry/src/channel.rs"
+    path.starts_with("crates/supervisord/src/") || path == "crates/telemetry/src/channel.rs"
 }
 
 /// One order edge `from -> to` with its witness site.

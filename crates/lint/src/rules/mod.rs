@@ -10,11 +10,11 @@
 //! | `docs/missing-deny` | warning | every library crate root carries `#![deny(missing_docs)]` |
 //! | `arena/no-packet-clone` | warning | no `Packet` clones outside `crates/netsim/src/arena.rs` — packets move by handle |
 //! | `arena/no-flow-clone` | warning | no FlowKey-keyed map iteration or by-value flow clones in pool code (`crates/tcp/src/`, `crates/flowgen/src/`) — flows move by `FlowRef` |
-//! | `parallel/no-shared-mut` | error | no `unsafe` / `static mut` / `UnsafeCell` / `Cell` / `RefCell` / `Rc` / `transmute` in `crates/netsim/src/parallel/` — `std::sync` only |
+//! | `parallel/no-shared-mut` | error | no `unsafe` / `static mut` / `UnsafeCell` / `Cell` / `RefCell` / `Rc` / `transmute` in the supervisord pipeline (`crates/supervisord/src/`) — `std::sync` only |
 //! | `determinism/transitive-wall-clock` | error | nothing outside the quarantine *reaches* a wall-clock read through the call graph |
 //! | `determinism/transitive-rng` | error | nothing outside the quarantine reaches an ambient randomness source |
 //! | `parallel/lock-order` | error | lock-acquisition order is acyclic across the concurrent subsystems, composed through calls |
-//! | `parallel/transitive-shared-mut` | error | the shared-mut ban extends to everything reachable *from* the parallel engine |
+//! | `parallel/transitive-shared-mut` | error | the shared-mut ban extends to everything reachable *from* the supervisord pipeline |
 //!
 //! The first nine are per-file token rules ([`FILE_RULES`]); the last
 //! four run over the whole-workspace [`Analysis`] — symbol graph, call
@@ -163,11 +163,11 @@ impl<'a> PathClass<'a> {
         self.path.starts_with("crates/tcp/src/") || self.path.starts_with("crates/flowgen/src/")
     }
 
-    /// Inside the domain-parallel engine, where `parallel/no-shared-mut`
-    /// bans unsynchronized shared mutability outright.
-    pub fn is_parallel_engine(&self) -> bool {
-        self.path.starts_with("crates/netsim/src/parallel/")
-            || self.path.starts_with("crates/supervisord/src/")
+    /// Inside the supervisord streaming pipeline, where
+    /// `parallel/no-shared-mut` bans unsynchronized shared mutability
+    /// outright.
+    pub fn is_supervisord_pipeline(&self) -> bool {
+        self.path.starts_with("crates/supervisord/src/")
     }
 
     /// A digest-defining file for `cast/lossy-in-digest` scoping.

@@ -1,15 +1,14 @@
-//! `parallel/no-shared-mut`: the domain-parallel engine under
-//! `crates/netsim/src/parallel/` and the streaming detection pipeline
-//! under `crates/supervisord/src/` must not smuggle in unsynchronized
-//! shared mutability.
+//! `parallel/no-shared-mut`: the streaming detection pipeline under
+//! `crates/supervisord/src/` must not smuggle in unsynchronized shared
+//! mutability.
 //!
-//! The parallel engine's determinism proof rests on a simple discipline:
-//! during a window, workers touch only domain-owned state; everything
-//! crossing domains moves through the single-threaded barrier. The safe
-//! way to express that in Rust is ownership plus `std::sync` primitives
-//! (`Mutex`, `Barrier`, `Arc` over immutable data) — which the borrow
-//! checker then enforces. What this rule bans are the constructs that
-//! opt *out* of that enforcement:
+//! The pipeline's determinism argument rests on a simple discipline:
+//! each worker touches only the state it owns; everything crossing
+//! threads moves by value through bounded channels and is folded by a
+//! single-threaded sink. The safe way to express that in Rust is
+//! ownership plus `std::sync` primitives (`Mutex`, channels, `Arc` over
+//! immutable data) — which the borrow checker then enforces. What this
+//! rule bans are the constructs that opt *out* of that enforcement:
 //!
 //! * `unsafe` blocks/fns (including `transmute`) — sidestep the borrow
 //!   checker entirely;
@@ -36,12 +35,12 @@ const RULE: &str = "parallel/no-shared-mut";
 pub const ALLOW: &str = "lint: allow(shared-mut)";
 
 /// Type/function names whose bare appearance is a violation (also
-/// matched by `parallel/transitive-shared-mut` outside the engine).
+/// matched by `parallel/transitive-shared-mut` outside the pipeline).
 pub(crate) const BANNED_IDENTS: &[&str] = &["UnsafeCell", "RefCell", "Cell", "Rc", "transmute"];
 
 /// `parallel/no-shared-mut`.
 pub fn no_shared_mut(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
-    if !PathClass::of(file).is_parallel_engine() {
+    if !PathClass::of(file).is_supervisord_pipeline() {
         return;
     }
     let push = |i: usize, what: &str, out: &mut Vec<Finding>| {
@@ -55,9 +54,9 @@ pub fn no_shared_mut(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
             RULE,
             Severity::Error,
             format!(
-                "{what} in the parallel engine — domain state must be owned by \
-                 exactly one worker per window, with cross-domain effects routed \
-                 through the barrier; use ownership or std::sync, or annotate with \
+                "{what} in the supervisord pipeline — worker state must be owned \
+                 by exactly one thread, with cross-thread effects moved by value \
+                 through channels; use ownership or std::sync, or annotate with \
                  `// {ALLOW}: <reason>`"
             ),
         ));
@@ -74,7 +73,7 @@ pub fn no_shared_mut(file: &ScannedFile<'_>, out: &mut Vec<Finding>) {
         } else if BANNED_IDENTS.contains(&t.text) {
             // `Rc::new(...)`, `RefCell<...>`, `use std::cell::Cell`,
             // `mem::transmute(...)` — any appearance counts; there is no
-            // benign use of these names inside the parallel engine.
+            // benign use of these names inside the pipeline.
             push(i, &format!("`{}`", t.text), out);
         }
     }

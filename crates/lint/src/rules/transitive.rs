@@ -18,9 +18,9 @@
 //!   (`crates/bench/`, `telemetry::wallclock`) and `#[cfg(test)]`
 //!   items are barriers — a bench stage may time whatever it likes.
 //! * shared-mut taint flows **callee-ward** ([`reach_callees`]): the
-//!   seeds are the parallel-engine entry points, and anything they
-//!   reach runs under the engine's ownership discipline even when it
-//!   lives outside the engine's directories, so the banned constructs
+//!   seeds are the supervisord pipeline's functions, and anything they
+//!   reach runs under the pipeline's ownership discipline even when it
+//!   lives outside the pipeline's directory, so the banned constructs
 //!   (`unsafe`, `static mut`, `RefCell`, …) are banned there too.
 //!
 //! Escape hatches are per *item*, not per line: `// lint:
@@ -169,8 +169,8 @@ pub fn transitive_rng(a: &Analysis<'_>, out: &mut Vec<Finding>) {
 }
 
 /// `parallel/transitive-shared-mut`: the banned shared-mutability
-/// constructs, checked in everything *reachable from* the parallel
-/// engine, not just inside its directories.
+/// constructs, checked in everything *reachable from* the supervisord
+/// pipeline, not just inside its directory.
 pub fn transitive_shared_mut(a: &Analysis<'_>, out: &mut Vec<Finding>) {
     let mut seeds: Vec<u32> = Vec::new();
     for (sid, s) in a.symbols.symbols.iter().enumerate() {
@@ -180,7 +180,7 @@ pub fn transitive_shared_mut(a: &Analysis<'_>, out: &mut Vec<Finding>) {
         let Some(f) = a.files.get(s.file_idx as usize) else {
             continue;
         };
-        if PathClass::from_path(&f.scan.path).is_parallel_engine() {
+        if PathClass::from_path(&f.scan.path).is_supervisord_pipeline() {
             seeds.push(sid as u32);
         }
     }
@@ -189,12 +189,12 @@ pub fn transitive_shared_mut(a: &Analysis<'_>, out: &mut Vec<Finding>) {
     let taint = reach_callees(&a.graph, &seeds, &blocked);
     for (&sid, tr) in &taint {
         if tr.via.is_none() {
-            continue; // engine-internal: the file rule covers it
+            continue; // pipeline-internal: the file rule covers it
         }
         let Some(pf) = a.file_of(sid) else {
             continue;
         };
-        if PathClass::from_path(&pf.scan.path).is_parallel_engine() {
+        if PathClass::from_path(&pf.scan.path).is_supervisord_pipeline() {
             continue; // ditto — reached but already in scope
         }
         if a.item_allows(sid)
@@ -234,8 +234,8 @@ pub fn transitive_shared_mut(a: &Analysis<'_>, out: &mut Vec<Finding>) {
                 continue;
             }
             let msg = format!(
-                "{what} in `{}`, which runs under the parallel engine: {chain_s}; \
-                 `{}` is an engine entry point — code reachable from the engine \
+                "{what} in `{}`, which runs under the supervisord pipeline: {chain_s}; \
+                 `{}` is a pipeline entry point — code reachable from the pipeline \
                  must honor its ownership discipline; use ownership or std::sync, \
                  or annotate the item with `// lint: allow(transitive-shared-mut): \
                  <reason>`",

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 /// One function or method symbol in the workspace.
 #[derive(Debug, Clone)]
 pub struct Symbol {
-    /// Canonical display path, e.g. `netsim::parallel::engine::run`.
+    /// Canonical display path, e.g. `supervisord::pipeline::run`.
     pub path: String,
     /// Crate name (directory under `crates/`; `"dui"` for root src/).
     pub crate_name: String,
@@ -192,7 +192,7 @@ mod tests {
     fn paths_combine_crate_file_mods_and_type() {
         let srcs = [
             (
-                "crates/netsim/src/parallel/engine.rs",
+                "crates/supervisord/src/pipeline/engine.rs",
                 "pub fn run() {}\nimpl Engine { fn step(&mut self) {} }\n",
             ),
             ("src/lib.rs", "pub fn top() {}\n"),
@@ -202,8 +202,8 @@ mod tests {
             srcs.iter().map(|(p, s)| ParsedFile::parse(p, s)).collect();
         let g = SymbolGraph::build(&files);
         let paths: Vec<&str> = g.symbols.iter().map(|s| s.path.as_str()).collect();
-        assert!(paths.contains(&"netsim::parallel::engine::run"));
-        assert!(paths.contains(&"netsim::parallel::engine::Engine::step"));
+        assert!(paths.contains(&"supervisord::pipeline::engine::run"));
+        assert!(paths.contains(&"supervisord::pipeline::engine::Engine::step"));
         assert!(paths.contains(&"dui::top"));
         assert!(paths.contains(&"alpha::deep::f"));
         assert!(g.lookup_suffix2("Engine::step").is_some());

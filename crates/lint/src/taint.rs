@@ -14,7 +14,7 @@
 //!   a wall-clock read is itself clock-tainted" (the transitive
 //!   determinism rules);
 //! * [`reach_callees`] — caller→callee flow: "anything reachable from
-//!   a parallel-engine entry point runs under the engine's
+//!   a supervisord pipeline entry point runs under the pipeline's
 //!   shared-mutability contract" (`parallel/transitive-shared-mut`).
 //!
 //! `blocked` symbols are barriers: they neither receive nor forward

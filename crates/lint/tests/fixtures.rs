@@ -164,7 +164,7 @@ fn flow_rule_only_applies_to_pool_code() {
     assert_eq!(count(LIB, src, "arena/no-flow-clone"), 0);
 }
 
-const PAR: &str = "crates/netsim/src/parallel/fixture.rs";
+const PAR: &str = "crates/supervisord/src/fixture.rs";
 
 #[test]
 fn parallel_bad_fires_on_every_escape_from_the_borrow_checker() {
@@ -180,7 +180,7 @@ fn parallel_clean_std_sync_and_annotation_pass() {
 }
 
 #[test]
-fn parallel_rule_scoped_to_the_parallel_engine() {
+fn parallel_rule_scoped_to_the_supervisord_pipeline() {
     let src = include_str!("fixtures/parallel_bad.rs");
     assert_eq!(count(LIB, src, "parallel/no-shared-mut"), 0);
     assert_eq!(

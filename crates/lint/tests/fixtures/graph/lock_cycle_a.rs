@@ -5,9 +5,9 @@ use std::sync::Mutex;
 /// Lock A.
 pub static LOCK_A: Mutex<u32> = Mutex::new(0);
 
-/// Acquires A, then B through `dui_supervisord::bump_b`.
+/// Acquires A, then B through `dui_telemetry::channel::bump_b`.
 pub fn forward() {
     let a = LOCK_A.lock();
-    dui_supervisord::bump_b();
+    dui_telemetry::channel::bump_b();
     drop(a);
 }

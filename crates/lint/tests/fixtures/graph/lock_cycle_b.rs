@@ -20,6 +20,6 @@ pub fn reverse() {
 
 /// Acquires A.
 fn grab_a() {
-    let a = dui_netsim::parallel::order_a::LOCK_A.lock();
+    let a = dui_supervisord::order_a::LOCK_A.lock();
     drop(a);
 }

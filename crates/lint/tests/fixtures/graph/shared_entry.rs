@@ -1,6 +1,6 @@
-//! Fixture: parallel-engine entry point reaching out-of-engine code.
+//! Fixture: supervisord pipeline entry point reaching code outside it.
 
-/// Engine entry: fans work out to the scratch helper.
+/// Pipeline entry: fans work out to the scratch helper.
 pub fn run_window() {
     dui_netsim::scratch::bump();
 }

@@ -1,6 +1,6 @@
-//! Fixture: out-of-engine helper smuggling interior mutability.
+//! Fixture: out-of-pipeline helper smuggling interior mutability.
 
-/// Uses `RefCell` — fine on its own, banned when the engine reaches it.
+/// Uses `RefCell` — fine on its own, banned when the pipeline reaches it.
 pub fn bump() {
     let c = std::cell::RefCell::new(0u32);
     *c.borrow_mut() += 1;

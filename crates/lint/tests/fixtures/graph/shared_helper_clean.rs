@@ -1,9 +1,9 @@
-//! Fixture: out-of-engine helper that honors the engine's ownership
-//! discipline — `std::sync` only.
+//! Fixture: out-of-pipeline helper that honors the pipeline's
+//! ownership discipline — `std::sync` only.
 
 use std::sync::Mutex;
 
-/// Synchronized state: fine to reach from the engine.
+/// Synchronized state: fine to reach from the pipeline.
 pub static COUNT: Mutex<u32> = Mutex::new(0);
 
 /// Bumps through the mutex.

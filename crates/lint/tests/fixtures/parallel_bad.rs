@@ -1,4 +1,4 @@
-// BAD: unsynchronized shared mutability inside the parallel engine.
+// BAD: unsynchronized shared mutability inside the supervisord pipeline.
 use std::cell::RefCell;
 use std::rc::Rc;
 

@@ -1,5 +1,5 @@
-// CLEAN: ownership and std::sync only — exactly what the parallel
-// engine's determinism discipline prescribes. Mentions of the banned
+// CLEAN: ownership and std::sync only — exactly what the supervisord
+// pipeline's determinism discipline prescribes. Mentions of the banned
 // names in comments ("RefCell", "unsafe") and strings must not fire.
 use std::sync::{Arc, Barrier, Mutex};
 

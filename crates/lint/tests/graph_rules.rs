@@ -1,6 +1,6 @@
 //! Fixture tests for the whole-workspace graph rules: cross-crate
 //! taint laundering, quarantine barriers, per-item allows, a
-//! cross-crate lock-order cycle, and engine-reachable shared
+//! cross-crate lock-order cycle, and pipeline-reachable shared
 //! mutability. Witness call paths are asserted **byte-exactly** — the
 //! chains are part of the analyzer's deterministic contract, not
 //! decoration.
@@ -102,20 +102,21 @@ fn rng_taint_crosses_crates_with_exact_witness_chain() {
 #[test]
 fn lock_order_cycle_across_two_crates_is_reported_once() {
     let findings = lint_sources(&sources(&[
-        ("crates/netsim/src/parallel/order_a.rs", LOCK_CYCLE_A),
-        ("crates/supervisord/src/lib.rs", LOCK_CYCLE_B),
+        ("crates/supervisord/src/order_a.rs", LOCK_CYCLE_A),
+        ("crates/telemetry/src/channel.rs", LOCK_CYCLE_B),
     ]));
     let hits = of(&findings, "parallel/lock-order");
     assert_eq!(hits.len(), 1, "findings: {findings:#?}");
-    assert_eq!(hits[0].file, "crates/netsim/src/parallel/order_a.rs");
-    assert_eq!((hits[0].line, hits[0].col), (11, 22));
+    assert_eq!(hits[0].file, "crates/supervisord/src/order_a.rs");
+    // Column 29: the call site now spells `dui_telemetry::channel::bump_b`.
+    assert_eq!((hits[0].line, hits[0].col), (11, 29));
     assert_eq!(
         hits[0].message,
         "lock-order cycle [LOCK_A, LOCK_B]: LOCK_A -> LOCK_B at \
-         crates/netsim/src/parallel/order_a.rs:11 in \
-         `netsim::parallel::order_a::forward` via `supervisord::bump_b`; \
-         LOCK_B -> LOCK_A at crates/supervisord/src/lib.rs:17 in \
-         `supervisord::reverse` via `supervisord::grab_a` — lock acquisition order \
+         crates/supervisord/src/order_a.rs:11 in \
+         `supervisord::order_a::forward` via `telemetry::channel::bump_b`; \
+         LOCK_B -> LOCK_A at crates/telemetry/src/channel.rs:17 in \
+         `telemetry::channel::reverse` via `telemetry::channel::grab_a` — lock acquisition order \
          must be globally consistent; annotate the acquisition with \
          `// lint: allow(lock-order): <reason>` if the overlap is provably impossible"
     );
@@ -124,7 +125,7 @@ fn lock_order_cycle_across_two_crates_is_reported_once() {
 #[test]
 fn consistent_lock_order_and_sharded_reacquisition_are_clean() {
     let findings = lint_sources(&sources(&[(
-        "crates/netsim/src/parallel/order_c.rs",
+        "crates/supervisord/src/order_c.rs",
         LOCK_CLEAN,
     )]));
     assert!(of(&findings, "parallel/lock-order").is_empty());
@@ -140,16 +141,16 @@ fn lock_order_allow_drops_the_acquisition() {
     );
     assert_ne!(patched, LOCK_CYCLE_B, "patch must apply");
     let findings = lint_sources(&sources(&[
-        ("crates/netsim/src/parallel/order_a.rs", LOCK_CYCLE_A),
-        ("crates/supervisord/src/lib.rs", &patched),
+        ("crates/supervisord/src/order_a.rs", LOCK_CYCLE_A),
+        ("crates/telemetry/src/channel.rs", &patched),
     ]));
     assert!(of(&findings, "parallel/lock-order").is_empty());
 }
 
 #[test]
-fn shared_mut_reachable_from_engine_is_flagged_with_exact_chain() {
+fn shared_mut_reachable_from_pipeline_is_flagged_with_exact_chain() {
     let findings = lint_sources(&sources(&[
-        ("crates/netsim/src/parallel/entry.rs", SHARED_ENTRY),
+        ("crates/supervisord/src/entry.rs", SHARED_ENTRY),
         ("crates/netsim/src/scratch.rs", SHARED_HELPER_BAD),
     ]));
     let hits = of(&findings, "parallel/transitive-shared-mut");
@@ -158,10 +159,10 @@ fn shared_mut_reachable_from_engine_is_flagged_with_exact_chain() {
     assert_eq!((hits[0].line, hits[0].col), (5, 24));
     assert_eq!(
         hits[0].message,
-        "`RefCell` in `netsim::scratch::bump`, which runs under the parallel \
-         engine: netsim::parallel::entry::run_window -> netsim::scratch::bump; \
-         `netsim::parallel::entry::run_window` is an engine entry point — code \
-         reachable from the engine must honor its ownership discipline; use \
+        "`RefCell` in `netsim::scratch::bump`, which runs under the supervisord \
+         pipeline: supervisord::entry::run_window -> netsim::scratch::bump; \
+         `supervisord::entry::run_window` is a pipeline entry point — code \
+         reachable from the pipeline must honor its ownership discipline; use \
          ownership or std::sync, or annotate the item with \
          `// lint: allow(transitive-shared-mut): <reason>`"
     );
@@ -169,14 +170,14 @@ fn shared_mut_reachable_from_engine_is_flagged_with_exact_chain() {
 
 #[test]
 fn shared_mut_clean_helper_and_unreachable_refcell_pass() {
-    // std::sync helper reached from the engine: clean.
+    // std::sync helper reached from the pipeline: clean.
     let findings = lint_sources(&sources(&[
-        ("crates/netsim/src/parallel/entry.rs", SHARED_ENTRY),
+        ("crates/supervisord/src/entry.rs", SHARED_ENTRY),
         ("crates/netsim/src/scratch.rs", SHARED_HELPER_CLEAN),
     ]));
     assert!(of(&findings, "parallel/transitive-shared-mut").is_empty());
 
-    // RefCell helper NOT reached from any engine entry: clean.
+    // RefCell helper NOT reached from any pipeline entry: clean.
     let findings = lint_sources(&sources(&[(
         "crates/netsim/src/scratch.rs",
         SHARED_HELPER_BAD,
@@ -193,7 +194,7 @@ fn shared_mut_item_allow_silences_the_finding() {
     );
     assert_ne!(patched, SHARED_HELPER_BAD, "patch must apply");
     let findings = lint_sources(&sources(&[
-        ("crates/netsim/src/parallel/entry.rs", SHARED_ENTRY),
+        ("crates/supervisord/src/entry.rs", SHARED_ENTRY),
         ("crates/netsim/src/scratch.rs", &patched),
     ]));
     assert!(of(&findings, "parallel/transitive-shared-mut").is_empty());

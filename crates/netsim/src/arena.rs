@@ -226,17 +226,6 @@ impl PacketArena {
         self.get(r).cloned()
     }
 
-    /// Mutable iteration over every live packet, in slot order. Used by
-    /// the parallel engine's barrier to patch provisional packet ids in
-    /// one sweep (packet bodies re-home to new slots on every forwarding
-    /// hop, so handle-based patching cannot reach them).
-    pub(crate) fn iter_live_mut(&mut self) -> impl Iterator<Item = &mut Packet> {
-        self.slots.iter_mut().filter_map(|s| match s {
-            Slot::Occupied { pkt, .. } => Some(pkt),
-            Slot::Free { .. } => None,
-        })
-    }
-
     /// Number of live packets.
     pub fn live(&self) -> usize {
         self.live

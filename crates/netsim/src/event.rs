@@ -264,35 +264,6 @@ impl EventQueue {
         self.wheel.stats()
     }
 
-    /// Schedule with an externally-computed 128-bit tie-break key (see
-    /// [`TimerWheel::schedule_keyed`]). A queue is either counter-ordered
-    /// (via [`EventQueue::schedule`]) or key-ordered, never both; the
-    /// parallel engine's per-domain queues are key-ordered.
-    pub(crate) fn schedule_keyed(&mut self, time: SimTime, key: u128, event: Event) {
-        self.wheel.schedule_keyed(time.0, key, event);
-    }
-
-    /// `(time, key)` of the earliest pending event, without mutating.
-    pub(crate) fn peek_key(&self) -> Option<(SimTime, u128)> {
-        self.wheel.peek_key().map(|(t, k)| (SimTime(t), k))
-    }
-
-    /// Pop the earliest pending event together with its tie-break key.
-    pub(crate) fn pop_keyed(&mut self) -> Option<(SimTime, u128, Event)> {
-        self.wheel.pop_keyed().map(|(t, k, e)| (SimTime(t), k, e))
-    }
-
-    /// Pending events as `(time, key, event)` copies, unsorted. The
-    /// parallel join sorts the union of all domain queues by `(time, key)`
-    /// to rebuild the merged sequential queue.
-    pub(crate) fn drain_keyed(&self) -> Vec<(SimTime, u128, Event)> {
-        self.wheel
-            .iter()
-            .into_iter()
-            .map(|(t, k, e)| (SimTime(t), k, *e))
-            .collect()
-    }
-
     /// Pending events in dispatch order — exactly the order
     /// [`EventQueue::pop`] would return them — as *borrows*. No event or
     /// packet is cloned.
@@ -301,7 +272,7 @@ impl EventQueue {
     /// values are an implementation detail (a restored queue re-schedules
     /// these in order and gets fresh, order-preserving sequence numbers).
     pub fn snapshot_refs(&self) -> Vec<(SimTime, &Event)> {
-        let mut v: Vec<(u64, u128, &Event)> = self.wheel.iter();
+        let mut v: Vec<(u64, u64, &Event)> = self.wheel.iter();
         v.sort_unstable_by_key(|&(t, q, _)| (t, q));
         v.into_iter().map(|(t, _, e)| (SimTime(t), e)).collect()
     }

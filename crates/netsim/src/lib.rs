@@ -50,7 +50,6 @@ pub mod event;
 pub mod link;
 pub mod node;
 pub mod packet;
-pub mod parallel;
 pub mod sim;
 pub mod time;
 pub mod topology;

@@ -94,11 +94,6 @@ pub struct SimCore {
     pub(crate) trace: Trace,
     pub(crate) rng: Rng,
     pub(crate) next_pkt_id: u64,
-    /// Present while this core runs as one domain of the parallel engine
-    /// (see [`crate::parallel`]); `None` in the ordinary sequential
-    /// engine. Reroutes scheduling through provisional keys, provisional
-    /// packet ids, and the cross-domain outbox.
-    pub(crate) domain: Option<Box<crate::parallel::DomainExt>>,
 }
 
 impl SimCore {
@@ -167,38 +162,15 @@ impl SimCore {
             .or_else(|| self.prefixes.lookup(addr).map(|(_, n)| n))
     }
 
-    /// Hand out a packet id if the packet does not have one yet. Under
-    /// the parallel engine the id is *provisional* (the global id
-    /// sequence is only known at the next barrier); the domain records
-    /// the assignment so the barrier can re-number it in merged dispatch
-    /// order and patch the surviving body.
+    /// Hand out a packet id if the packet does not have one yet.
     fn assign_id(&mut self, pkt: &mut Packet) {
         if pkt.id != 0 {
             return;
         }
-        pkt.id = match self.domain.as_mut() {
-            None => {
-                self.next_pkt_id += 1;
-                self.next_pkt_id
-            }
-            Some(d) => d.next_provisional_id(),
-        };
+        self.next_pkt_id += 1;
+        pkt.id = self.next_pkt_id;
         pkt.sent_at = self.now;
         self.registry.inc(self.metrics.created);
-    }
-
-    /// Central scheduling hook: every event the engine produces during a
-    /// dispatch goes through here. Sequentially it is a plain
-    /// counter-ordered schedule; under the parallel engine the event gets
-    /// a provisional `(record, position)` key and parks in the domain's
-    /// fresh-heap until the next barrier resolves the key (see
-    /// [`crate::parallel`] for why this reproduces the sequential
-    /// `(time, seq)` order exactly).
-    fn schedule_event(&mut self, t: SimTime, ev: Event) {
-        match self.domain.as_mut() {
-            None => self.queue.schedule(t, ev),
-            Some(d) => d.schedule_local(t, ev),
-        }
     }
 
     /// Route a packet out of `from` toward its destination address.
@@ -221,7 +193,8 @@ impl SimCore {
                 self.registry.inc(self.metrics.created);
             }
             let pkt = self.arena.insert(pkt);
-            self.schedule_event(self.now, Event::Deliver { node: from, pkt });
+            self.queue
+                .schedule(self.now, Event::Deliver { node: from, pkt });
             return;
         }
         let Some(next) = self.routing.next_hop(from, dst_node) else {
@@ -299,7 +272,8 @@ impl SimCore {
             let mut p = extra_pkt;
             self.assign_id(&mut p);
             let p = self.arena.insert(p);
-            self.schedule_event(self.now, Event::Offer { link, dir, pkt: p });
+            self.queue
+                .schedule(self.now, Event::Offer { link, dir, pkt: p });
         }
         match verdict {
             TapAction::Forward => {}
@@ -314,13 +288,15 @@ impl SimCore {
             TapAction::Delay(d) => {
                 // The tap's delay buffer is the wheel itself: the handle
                 // parks in its slot until the re-offer fires.
-                self.schedule_event(self.now + d, Event::Offer { link, dir, pkt });
+                self.queue
+                    .schedule(self.now + d, Event::Offer { link, dir, pkt });
                 return;
             }
         }
         // 3. jitter re-offers later, bypassing faults/taps
         if extra > SimDuration::ZERO {
-            self.schedule_event(self.now + extra, Event::Offer { link, dir, pkt });
+            self.queue
+                .schedule(self.now + extra, Event::Offer { link, dir, pkt });
             return;
         }
         self.enqueue_link(link, dir, pkt);
@@ -356,10 +332,11 @@ impl SimCore {
         self.trace
             .record(self.now, TraceKind::TxStart, None, self.arena.get(pkt).expect("engine holds a stale packet ref")); // lint: allow(panic)
         self.links[link.0].dir_state(dir).in_flight = Some(pkt);
-        self.schedule_event(self.now + ser, Event::TxComplete { link, dir });
+        self.queue
+            .schedule(self.now + ser, Event::TxComplete { link, dir });
     }
 
-    pub(crate) fn tx_complete(&mut self, link: LinkId, dir: Dir) {
+    fn tx_complete(&mut self, link: LinkId, dir: Dir) {
         let prop = self.links[link.0].info.delay;
         let dst = self.links[link.0].dst_node(dir);
         let pkt = self.links[link.0]
@@ -372,23 +349,8 @@ impl SimCore {
         let stats = self.links[link.0].stats_mut(dir);
         stats.delivered += 1;
         stats.bytes_delivered += size as u64;
-        let arrive = self.now + prop;
-        // The propagation hop is the only place an event can cross a
-        // domain boundary: under the parallel engine a remote delivery
-        // goes to the outbox (arriving at least one lookahead ahead, per
-        // the partition invariant) instead of a local queue.
-        let remote = match self.domain.as_ref() {
-            Some(d) => d.is_remote(dst),
-            None => false,
-        };
-        if remote {
-            self.domain
-                .as_mut()
-                .expect("checked above") // lint: allow(panic)
-                .push_outbox(arrive, dst, pkt);
-        } else {
-            self.schedule_event(arrive, Event::Deliver { node: dst, pkt });
-        }
+        self.queue
+            .schedule(self.now + prop, Event::Deliver { node: dst, pkt });
         // Start next queued packet, if any.
         if let Some(next) = self.links[link.0].dir_state(dir).queue.pop_front() {
             self.start_tx(link, dir, next);
@@ -403,7 +365,7 @@ impl SimCore {
     /// Sync arena occupancy gauges and wheel work counters into the
     /// metrics registry. Called at run boundaries, not per event, so the
     /// hot path carries no metrics cost.
-    pub(crate) fn sync_structural_metrics(&mut self) {
+    fn sync_structural_metrics(&mut self) {
         let ws = self.queue.wheel_stats();
         let m = &mut self.metrics;
         self.registry.add(
@@ -485,25 +447,12 @@ impl<'a> Ctx<'a> {
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         let node = self.node;
         self.core
-            .schedule_event(self.core.now + delay, Event::Timer { node, token });
+            .queue
+            .schedule(self.core.now + delay, Event::Timer { node, token });
     }
 
     /// Deterministic randomness.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the parallel engine: the engine RNG is a single
-    /// sequential stream, and a domain drawing from a clone would diverge
-    /// from the sequential engine. Logic that needs randomness must carry
-    /// its own seeded [`Rng`] (every scenario logic in this workspace
-    /// already does); the parallel preconditions in [`crate::parallel`]
-    /// keep the engine's own draws (fault injection) off this path.
     pub fn rng(&mut self) -> &mut Rng {
-        assert!(
-            self.core.domain.is_none(),
-            "Ctx::rng is not available under the parallel engine; \
-             give the node logic its own seeded Rng instead"
-        );
         &mut self.core.rng
     }
 
@@ -639,15 +588,6 @@ pub struct Simulator {
     pub(crate) core: SimCore,
     pub(crate) logics: Vec<Option<Box<dyn NodeLogic>>>,
     pub(crate) started: bool,
-    /// Worker-thread budget for the parallel engine; `0` = plain
-    /// sequential engine (the default).
-    pub(crate) sim_threads: usize,
-    /// Cached domain decomposition (a pure function of the immutable
-    /// topology).
-    pub(crate) domain_map: Option<std::sync::Arc<crate::parallel::DomainMap>>,
-    /// What the parallel engine did (or why it fell back) on the most
-    /// recent `run_until`.
-    pub(crate) last_parallel: Option<crate::parallel::ParallelOutcome>,
 }
 
 impl Simulator {
@@ -674,42 +614,10 @@ impl Simulator {
                 trace: Trace::disabled(),
                 rng: Rng::new(seed),
                 next_pkt_id: 0,
-                domain: None,
             },
             logics: (0..n).map(|_| None).collect(),
             started: false,
-            sim_threads: 0,
-            domain_map: None,
-            last_parallel: None,
         }
-    }
-
-    /// Opt in to the parallel engine with a budget of `n` worker threads
-    /// (`0` restores the plain sequential engine). Any `n >= 1` switches
-    /// `run_until` to the domain-sharded execution path — `n = 1` runs
-    /// the same domain decomposition on the calling thread, which is what
-    /// makes results byte-identical across every `n` (see
-    /// [`crate::parallel`] for the full determinism argument). Runs that
-    /// fail the parallel preconditions (taps installed, active
-    /// random-loss/jitter faults, tracing or spans enabled, or a topology
-    /// that partitions into a single domain) silently fall back to the
-    /// sequential engine; [`Simulator::last_parallel_outcome`] reports
-    /// which path was taken.
-    pub fn set_sim_threads(&mut self, n: usize) {
-        self.sim_threads = n;
-    }
-
-    /// The configured parallel worker budget (`0` = sequential).
-    pub fn sim_threads(&self) -> usize {
-        self.sim_threads
-    }
-
-    /// What the parallel engine did on the most recent `run_until`:
-    /// `None` before any run (or with `sim_threads == 0`), otherwise
-    /// either a window/domain report or the precondition that forced a
-    /// sequential fallback.
-    pub fn last_parallel_outcome(&self) -> Option<&crate::parallel::ParallelOutcome> {
-        self.last_parallel.as_ref()
     }
 
     /// Install behavior for a node (replacing any previous behavior).
@@ -848,28 +756,6 @@ impl Simulator {
     /// exactly `t`). Time then rests at `t`.
     pub fn run_until(&mut self, t: SimTime) {
         self.start_if_needed();
-        if self.sim_threads > 0 {
-            match crate::parallel::run_parallel(self, t) {
-                Ok(report) => {
-                    self.last_parallel = Some(crate::parallel::ParallelOutcome::Ran(report));
-                    return;
-                }
-                Err(reason) => {
-                    // Count the fallback (total + per reason) so harnesses
-                    // can report how often the parallel path declined.
-                    let total = self.core.registry.counter("netsim.parallel.fallback");
-                    self.core.registry.inc(total);
-                    let by_reason = self
-                        .core
-                        .registry
-                        .counter(&format!("netsim.parallel.fallback.{}", reason.key()));
-                    self.core.registry.inc(by_reason);
-                    self.last_parallel =
-                        Some(crate::parallel::ParallelOutcome::Fallback(reason));
-                    // fall through to the sequential engine
-                }
-            }
-        }
         while let Some(et) = self.core.queue.peek_time() {
             if et > t {
                 break;
@@ -887,7 +773,7 @@ impl Simulator {
 
     /// Dispatch one event, maintaining delivery counters and (when
     /// enabled) recording the dispatch as a sim-time span.
-    pub(crate) fn dispatch(&mut self, time: SimTime, event: Event) {
+    fn dispatch(&mut self, time: SimTime, event: Event) {
         if let Some(spans) = self.core.spans.as_mut() {
             let label = match &event {
                 Event::Deliver { .. } => "deliver",

@@ -125,13 +125,6 @@ impl Trace {
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
-
-    /// Whether recording is active (a parallel-engine precondition:
-    /// domain runs keep their traces off so no cross-thread interleaving
-    /// can reach an observable buffer).
-    pub(crate) fn is_enabled(&self) -> bool {
-        self.enabled
-    }
 }
 
 #[cfg(test)]

@@ -54,19 +54,16 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// Wheel levels; ticks beyond `2^(LEVELS*8)` defer to the overflow heap.
 const LEVELS: usize = 4;
 
-/// One pending entry. `seq` is 128 bits wide: the wheel's own monotone
-/// counter only ever uses the low 64, but callers may supply wider
-/// externally-computed keys via [`TimerWheel::schedule_keyed`] (the
-/// parallel engine encodes a global dispatch lineage in them).
+/// One pending entry, ordered by `(time, seq)`.
 #[derive(Debug)]
 struct Entry<T> {
     time: u64,
-    seq: u128,
+    seq: u64,
     value: T,
 }
 
 impl<T> Entry<T> {
-    fn key(&self) -> (u64, u128) {
+    fn key(&self) -> (u64, u64) {
         (self.time, self.seq)
     }
 }
@@ -149,7 +146,7 @@ impl<T> Slot<T> {
     }
 
     /// Key of the minimum entry without mutating (linear when dirty).
-    fn peek_min_key(&self) -> Option<(u64, u128)> {
+    fn peek_min_key(&self) -> Option<(u64, u64)> {
         if self.sorted {
             self.entries.back().map(|e| e.key())
         } else {
@@ -220,7 +217,7 @@ pub struct TimerWheel<T> {
     overflow: BinaryHeap<Reverse<HeapEntry<T>>>,
     /// Tick of the most recent pop (placement reference point).
     cursor: u64,
-    next_seq: u128,
+    next_seq: u64,
     len: usize,
     stats: WheelStats,
 }
@@ -268,25 +265,6 @@ impl<T> TimerWheel<T> {
         self.place(Entry { time, seq, value });
     }
 
-    /// Schedule `value` at absolute `time` with a caller-supplied 128-bit
-    /// tie-break key instead of the wheel's internal counter. Entries at
-    /// equal times pop in ascending `key` order.
-    ///
-    /// A given wheel must use *either* [`TimerWheel::schedule`] *or*
-    /// `schedule_keyed`, never both: the internal counter and external keys
-    /// occupy the same ordering dimension, and mixing them would make the
-    /// pop order depend on unrelated scheduling history. The parallel
-    /// engine's per-domain wheels are keyed-only; the sequential engine's
-    /// wheel is counter-only.
-    pub fn schedule_keyed(&mut self, time: u64, key: u128, value: T) {
-        self.len += 1;
-        self.place(Entry {
-            time,
-            seq: key,
-            value,
-        });
-    }
-
     /// Place (or re-place, during cascades) one entry relative to the
     /// current cursor.
     fn place(&mut self, e: Entry<T>) {
@@ -320,13 +298,6 @@ impl<T> TimerWheel<T> {
     /// Pop the minimum-`(time, seq)` entry, advancing the cursor.
     pub fn pop(&mut self) -> Option<(u64, T)> {
         self.pop_entry().map(|e| (e.time, e.value))
-    }
-
-    /// Pop the minimum entry together with its tie-break key. Used by
-    /// keyed wheels (see [`TimerWheel::schedule_keyed`]) where the key
-    /// carries meaning beyond FIFO ordering.
-    pub fn pop_keyed(&mut self) -> Option<(u64, u128, T)> {
-        self.pop_entry().map(|e| (e.time, e.seq, e.value))
     }
 
     fn pop_entry(&mut self) -> Option<Entry<T>> {
@@ -400,31 +371,12 @@ impl<T> TimerWheel<T> {
         self.overflow.peek().map(|Reverse(HeapEntry(e))| e.time)
     }
 
-    /// `(time, key)` of the minimum pending entry, without mutating. Same
-    /// scan as [`TimerWheel::peek_time`]; correct for the key too because
-    /// entries at equal times always share a slot (placement is a pure
-    /// function of tick and cursor), so the slot minimum is the global
-    /// minimum.
-    pub fn peek_key(&self) -> Option<(u64, u128)> {
-        for level in 0..LEVELS {
-            if let Some(i) = self.levels[level].first_occupied_from(self.base(level)) {
-                let key = self.levels[level].slots[i]
-                    .peek_min_key()
-                    .expect("occupied bit set on empty slot"); // lint: allow(panic): occupancy bitmap invariant
-                return Some(key);
-            }
-        }
-        self.overflow
-            .peek()
-            .map(|Reverse(HeapEntry(e))| (e.time, e.seq))
-    }
-
     /// Visit every pending entry as `(time, seq, &value)`, in storage
     /// order (not pop order — sort by `(time, seq)` for that). Borrows
     /// only; the caller decides what to clone. Walks the occupancy
     /// bitmaps, so the cost scales with pending entries, not with the
     /// 1024 slots of the wheel.
-    pub fn iter(&self) -> Vec<(u64, u128, &T)> {
+    pub fn iter(&self) -> Vec<(u64, u64, &T)> {
         let mut v = Vec::with_capacity(self.len);
         for l in &self.levels {
             for (w, &bits) in l.occupied.iter().enumerate() {
@@ -452,7 +404,7 @@ impl<T> TimerWheel<T> {
 #[derive(Debug)]
 pub struct BaselineHeapQueue<T> {
     heap: BinaryHeap<Reverse<HeapEntry<T>>>,
-    next_seq: u128,
+    next_seq: u64,
 }
 
 impl<T> Default for BaselineHeapQueue<T> {
@@ -605,49 +557,10 @@ mod tests {
         for &t in &[10u64, 5_000_000, 1 << 50] {
             w.schedule(t, t);
         }
-        let mut seen: Vec<(u64, u128)> = w.iter().into_iter().map(|(t, s, _)| (t, s)).collect();
+        let mut seen: Vec<(u64, u64)> = w.iter().into_iter().map(|(t, s, _)| (t, s)).collect();
         seen.sort_unstable();
         assert_eq!(seen.len(), 3);
         assert_eq!(seen[0], (10, 0));
-    }
-
-    #[test]
-    fn keyed_schedule_pops_in_key_order() {
-        let mut w: TimerWheel<u32> = TimerWheel::new();
-        // Same time, keys scheduled out of order — including keys wider
-        // than 64 bits (the parallel engine's provisional-key bit).
-        let keys: [u128; 5] = [7, 1u128 << 127 | 3, 2, 1u128 << 100, 0];
-        for (i, &k) in keys.iter().enumerate() {
-            w.schedule_keyed(5_000, k, i as u32);
-        }
-        // And one earlier-time entry with a huge key: time dominates.
-        w.schedule_keyed(4_000, u128::MAX, 99);
-        assert_eq!(w.peek_key(), Some((4_000, u128::MAX)));
-        assert_eq!(w.pop_keyed(), Some((4_000, u128::MAX, 99)));
-        let mut sorted: Vec<u128> = keys.to_vec();
-        sorted.sort_unstable();
-        for k in sorted {
-            let (t, got, v) = w.pop_keyed().expect("entry");
-            assert_eq!(t, 5_000);
-            assert_eq!(got, k);
-            assert_eq!(keys[v as usize], k);
-        }
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn peek_key_matches_pop_keyed_across_levels() {
-        let mut w: TimerWheel<u64> = TimerWheel::new();
-        let mut x = 0xABCDu64;
-        for i in 0..2_000u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let t = (x >> 16) % 80_000_000;
-            w.schedule_keyed(t, (i as u128) << 32, i);
-        }
-        while let Some(peek) = w.peek_key() {
-            let (t, k, _) = w.pop_keyed().expect("peeked");
-            assert_eq!(peek, (t, k));
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! records an observation if the boundary sits on the grid. Everything
 //! observed is simulated state — no wall clock, no ambient randomness —
 //! so a `(file, seed)` pair always yields the same [`RunReport`],
-//! regardless of host, `--jobs`, or `sim_threads`.
+//! regardless of host or `--jobs`.
 
 use crate::ast::{ChaosKind, WorkloadSpec};
 use crate::compile::{build_topology, Compiled, Plan, ResolvedChaos, TcpPlan};
@@ -46,9 +46,6 @@ pub struct RunReport {
     pub seed: u64,
     /// One result per `[expect]` line, in file order.
     pub checks: Vec<CheckResult>,
-    /// Sequential fallbacks taken by the parallel engine (0 when run
-    /// with `sim_threads == 0`).
-    pub fallbacks: u64,
     /// Total endpoint deliveries (0 for round-based workloads).
     pub delivered: u64,
 }
@@ -61,19 +58,13 @@ impl RunReport {
 }
 
 impl Compiled {
-    /// Run sequentially (the reference configuration).
+    /// Run the scenario to its verdict.
     pub fn run(&self) -> RunReport {
-        self.run_with(0)
-    }
-
-    /// Run with a parallel-engine worker budget (`0` = sequential). The
-    /// report is identical at any budget; only wall-clock time changes.
-    pub fn run_with(&self, sim_threads: usize) -> RunReport {
         let obs = match &self.plan {
-            Plan::Blink => self.run_blink(sim_threads),
-            Plan::Pcc => self.run_pcc(sim_threads),
+            Plan::Blink => self.run_blink(),
+            Plan::Pcc => self.run_pcc(),
             Plan::Pytheas => self.run_pytheas(),
-            Plan::Tcp(plan) => self.run_tcp(plan, sim_threads),
+            Plan::Tcp(plan) => self.run_tcp(plan),
         };
         let sc = &self.scenario;
         RunReport {
@@ -81,7 +72,6 @@ impl Compiled {
             kind: sc.workload.kind(),
             seed: sc.seed,
             checks: evaluate(sc, &self.windows, &obs),
-            fallbacks: obs.snapshot.counter("netsim.parallel.fallback"),
             delivered: obs.snapshot.counter("netsim.delivered.endpoint"),
         }
     }
@@ -117,7 +107,7 @@ impl Compiled {
         t.0 % self.scenario.sample_every.0.max(1) == 0
     }
 
-    fn run_blink(&self, sim_threads: usize) -> Observed {
+    fn run_blink(&self) -> Observed {
         let sc = &self.scenario;
         let WorkloadSpec::Blink {
             legit_flows,
@@ -145,7 +135,6 @@ impl Compiled {
             seed: sc.seed,
         };
         let mut b = BlinkScenario::build(&cfg);
-        b.sim.set_sim_threads(sim_threads);
         // Every blink chaos window is a primary flap (compile-checked);
         // count overlaps so nested windows fail once and heal last.
         let mut active = 0usize;
@@ -191,7 +180,7 @@ impl Compiled {
         }
     }
 
-    fn run_pcc(&self, sim_threads: usize) -> Observed {
+    fn run_pcc(&self) -> Observed {
         let sc = &self.scenario;
         let WorkloadSpec::Pcc {
             flows,
@@ -213,7 +202,6 @@ impl Compiled {
             seed: sc.seed,
         };
         let mut p = PccScenario::build(&cfg);
-        p.sim.set_sim_threads(sim_threads);
         let end = SimTime(horizon.0);
         p.sim.run_until(end);
         // Steady state: the tail half of each flow's MI-boundary trace.
@@ -282,7 +270,7 @@ impl Compiled {
         }
     }
 
-    fn run_tcp(&self, plan: &TcpPlan, sim_threads: usize) -> Observed {
+    fn run_tcp(&self, plan: &TcpPlan) -> Observed {
         let sc = &self.scenario;
         // Plan::Tcp covers the whole tcp family; the three kinds share
         // the population parameters and differ in admission + lifecycle.
@@ -399,7 +387,6 @@ impl Compiled {
 
         let routers = topo.nodes_of_kind(NodeKind::Router);
         let mut sim = Simulator::new(topo, sc.seed);
-        sim.set_sim_threads(sim_threads);
         sim.announce_prefix(prefix, plan.dst_host);
         for r in routers {
             let logic = match plan.bounce {

@@ -26,9 +26,9 @@
 //!
 //! ## Determinism contract
 //!
-//! The verdict log obeys the same contract as the parallel packet
-//! engine (docs/determinism.md, invariants D1–D7): **byte-identical
-//! across worker counts**. The argument has three steps:
+//! The verdict log obeys the workspace determinism contract
+//! (docs/determinism.md, invariants D1–D4, D6 and D7) and adds one
+//! guarantee of its own: **byte-identical across worker counts**. The argument has three steps:
 //!
 //! 1. each producer's channel preserves its `seq` order (SPSC FIFO);
 //! 2. each worker merges its producers' streams by the total key

@@ -1,8 +1,8 @@
 //! The sharded streaming pipeline: producers → bounded SPSC channels →
 //! worker shards → canonical verdict sink.
 //!
-//! Concurrency discipline (`parallel/no-shared-mut`, the same rule as
-//! the netsim parallel engine): ownership plus `std::sync` only. Each
+//! Concurrency discipline (`parallel/no-shared-mut`): ownership plus
+//! `std::sync` only. Each
 //! producer owns its sending half, each worker owns its receivers and
 //! its groups' signal state, and nothing is shared mutably — workers
 //! return their verdict batches by value and the sink folds them

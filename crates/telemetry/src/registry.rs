@@ -142,29 +142,6 @@ impl Registry {
         &self.hists[id.0 as usize]
     }
 
-    /// Fold a snapshot's metrics into this registry *by name*: counters
-    /// add, gauges accumulate `(sum, n)`, histograms merge
-    /// element-wise. Metrics not yet registered here are registered on
-    /// the fly (snapshot `BTreeMap` iteration keeps the order — and
-    /// thus float-sum bytes — stable). This is how the parallel engine
-    /// merges per-domain registries back into the merged simulator's.
-    pub fn absorb(&mut self, snap: &Snapshot) {
-        for (name, &v) in &snap.counters {
-            let id = self.counter(name);
-            self.add(id, v);
-        }
-        for (name, &(sum, n)) in &snap.gauges {
-            let id = self.gauge(name);
-            let slot = &mut self.gauges[id.0 as usize];
-            slot.0 += sum;
-            slot.1 += n;
-        }
-        for (name, h) in &snap.hists {
-            let id = self.histogram(name);
-            self.hists[id.0 as usize].merge(h);
-        }
-    }
-
     /// Freeze the registry into a mergeable, exportable snapshot.
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::default();
@@ -422,27 +399,6 @@ mod tests {
         snap.merge(&r2.snapshot());
         assert_eq!(snap.counter("n"), 7);
         assert_eq!(snap.gauge_mean("load"), Some(2.0));
-    }
-
-    #[test]
-    fn absorb_folds_snapshot_into_registry() {
-        let mut main = Registry::new();
-        let c = main.counter("n");
-        main.add(c, 2);
-
-        let mut dom = Registry::new();
-        let dc = dom.counter("n");
-        dom.add(dc, 5);
-        let dg = dom.gauge("depth");
-        dom.observe(dg, 4.0);
-        let dh = dom.histogram("lat");
-        dom.record(dh, 9);
-
-        main.absorb(&dom.snapshot());
-        let snap = main.snapshot();
-        assert_eq!(snap.counter("n"), 7);
-        assert_eq!(snap.gauge_mean("depth"), Some(4.0));
-        assert_eq!(snap.hist("lat").map(|h| h.count()), Some(1));
     }
 
     #[test]

@@ -69,26 +69,6 @@ trap 'rm -rf "$RRDIR"' EXIT
 ) >/dev/null
 echo "record/replay gate: OK"
 
-echo "== parallel engine byte-identity (--sim-threads) =="
-# The sharded simulator must produce the same bytes as the sequential
-# engine: run the packet-level Blink stage once per thread count and
-# byte-compare its CSV and its deterministic telemetry JSONL. This is
-# the end-to-end check behind crates/netsim/src/parallel/ — the unit
-# and property tests cover randomized topologies; this pins the real
-# experiment. (~3 min: two full packet-level runs.)
-PARDIR="$(mktemp -d)"
-(
-  cd "$PARDIR"
-  "$EXP" blink-packet --sim-threads 1 --metrics
-  mv results/blink_packet.csv blink_packet.t1.csv
-  mv results/metrics.jsonl metrics.t1.jsonl
-  "$EXP" blink-packet --sim-threads 4 --metrics
-  cmp blink_packet.t1.csv results/blink_packet.csv
-  cmp metrics.t1.jsonl results/metrics.jsonl
-) >/dev/null
-rm -rf "$PARDIR"
-echo "blink-packet CSV + metrics JSONL byte-identical at 1 vs 4 sim threads: OK"
-
 echo "== supervisord verdict-log byte-identity (--workers) =="
 # The streaming supervisor pipeline must emit the same verdict JSONL at
 # any worker count (docs/supervisord.md). The stage already asserts
