@@ -1,5 +1,6 @@
 //! Golden-trace fixtures: the checkpoint hash sequences of the small
-//! recordable stages, pinned as text files under `tests/golden/`.
+//! recordable stages, plus the `supervisord` stage's verdict log, pinned
+//! as text files under `tests/golden/`.
 //!
 //! This is the cross-crate determinism gate: the subject builders live
 //! in `dui-bench`, the recorder and state hashing in `dui-replay`, and
@@ -13,7 +14,9 @@
 //! ```
 
 use dui_bench::recordings::build_subject;
+use dui_bench::stages::{supervisord_stage, SupervisordOpts};
 use dui_replay::{Recorder, Recording};
+use dui_stats::digest::StateDigest;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -50,8 +53,30 @@ fn record_trace(stage: &str, every: u64) -> String {
     out
 }
 
+/// Render the `supervisord` stage's verdict JSONL at the default fleet:
+/// its line count and a 64-bit digest of its bytes.
+fn verdict_log_trace() -> String {
+    let out = supervisord_stage(&SupervisordOpts::scaled(1), 1);
+    let jsonl = out
+        .artifacts
+        .iter()
+        .find(|(name, _)| name == "supervisord_verdicts.jsonl")
+        .map(|(_, body)| body)
+        .expect("supervisord stage exports its verdict log");
+    let mut d = StateDigest::new();
+    d.write_bytes(jsonl.as_bytes());
+    format!(
+        "# supervisord verdicts opts=scaled(1)\nlines {}\ndigest {:016x}\n",
+        jsonl.lines().count(),
+        d.finish()
+    )
+}
+
 fn check(stage: &str, file: &str, every: u64) {
-    let got = record_trace(stage, every);
+    check_fixture(stage, file, record_trace(stage, every));
+}
+
+fn check_fixture(stage: &str, file: &str, got: String) {
     let path = fixture_path(file);
     if std::env::var_os("GOLDEN_BLESS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).expect("create tests/golden");
@@ -68,7 +93,7 @@ fn check(stage: &str, file: &str, every: u64) {
     });
     assert_eq!(
         got, want,
-        "golden trace for '{stage}' diverged — simulation behavior changed.\n\
+        "golden trace for '{stage}' diverged — behavior changed.\n\
          If intentional, re-bless with: GOLDEN_BLESS=1 cargo test --test golden_traces"
     );
 }
@@ -89,4 +114,9 @@ fn blink_packet_golden_trace() {
 fn pcc_golden_trace() {
     let (stage, file, every) = GOLDEN[2];
     check(stage, file, every);
+}
+
+#[test]
+fn supervisord_verdict_golden_log() {
+    check_fixture("supervisord", "supervisord_verdicts.hashes", verdict_log_trace());
 }
