@@ -309,7 +309,7 @@ fn bench_replay(s: &mut Suite) {
 }
 
 fn bench_supervisord(s: &mut Suite) {
-    use dui_core::supervisord::{SignalBank, SignalConfig};
+    use dui_core::supervisord::SignalBank;
     use dui_core::telemetry::delta::DeltaEncoder;
     use dui_core::telemetry::Registry;
 
@@ -355,7 +355,7 @@ fn bench_supervisord(s: &mut Suite) {
                 enc.encode(e, &reg.snapshot(), 0)
             })
             .collect();
-        let mut bank = SignalBank::new(&SignalConfig::default());
+        let mut bank = SignalBank::new();
         let mut i = 0usize;
         s.bench("supervisord_signalbank_observe", move || {
             i = (i + 1) % frames.len();

@@ -282,9 +282,9 @@ impl BlinkScenario {
     /// pipeline's `blink.*` metrics (reroutes, vetoes, selector events),
     /// the ground-truth `blink.cells.malicious` occupancy gauge, and the
     /// engine's `netsim.*` counters. This is the observation surface the
-    /// `defenses` experiment stage and
-    /// [`SnapshotSupervisor`](dui_defense::supervisor::SnapshotSupervisor)
-    /// consume.
+    /// `defenses` experiment stage scores with
+    /// [`OccupancyWindow`](dui_defense::streaming::OccupancyWindow), the
+    /// Blink signal `dui-supervisord`'s `SignalBank` runs online.
     pub fn metrics(&mut self) -> dui_telemetry::Snapshot {
         let malicious = self.malicious_cells().unwrap_or(0) as f64;
         let mut reg = dui_telemetry::Registry::new();

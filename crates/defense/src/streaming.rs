@@ -1,24 +1,19 @@
-//! Incremental supervisors for the streaming detection pipeline
-//! (`dui-supervisord`).
+//! The §5 risk signals as windowed, incremental estimators — the one
+//! implementation of each signal, run online by `dui-supervisord`.
 //!
-//! The batch [`Supervisor`](crate::Supervisor) impls score one frozen
-//! [`Snapshot`] per experiment stage. The serving story is different: a
-//! producer ships a *delta* snapshot every epoch, and the supervisor
-//! must fold each delta into windowed state and re-emit a risk estimate
-//! online — `observe(delta) -> Risk`. That contract is
-//! [`StreamingSupervisor`], and this module provides the concrete
-//! signals the paper's case studies call for:
+//! A producer ships a *delta* snapshot every epoch, and each window
+//! folds the delta into its state and re-emits a risk estimate:
+//! `observe(delta) -> Risk`. A one-shot check over a frozen
+//! [`Snapshot`] is the same call on a window of length 1. The signals
+//! the paper's case studies call for:
 //!
 //! * [`OccupancyWindow`] — Blink cell occupancy (§3.1): windowed mean
-//!   of a gauge against a capacity, the streaming form of
-//!   [`SnapshotSupervisor`](crate::SnapshotSupervisor).
+//!   of a gauge against a capacity.
 //! * [`GroupOutlierWindow`] — Pytheas group outliers (§4.1): per-member
-//!   QoE gauges under a prefix, flagged by median/MAD (the streaming
-//!   form of [`MadReportFilter`](crate::MadReportFilter)'s rule).
+//!   QoE gauges under a prefix, scored by a one-sided median/MAD rule.
 //! * [`DropPatternWindow`] — PCC drop-pattern asymmetry + ε clamp
-//!   (§4.2): windowed loss counters split by rate direction, risk from
-//!   the same asymmetry statistic as
-//!   [`PccLossPatternMonitor`](crate::PccLossPatternMonitor), and a
+//!   (§4.2): windowed loss counters split by rate direction, scored by
+//!   [`PccLossPatternMonitor::risk`], and a
 //!   [`recommended_eps`](DropPatternWindow::recommended_eps) amplitude
 //!   clamp.
 //! * [`SynBacklogWindow`] — SYN-backlog pressure (§2): half-open
@@ -31,24 +26,10 @@
 //! that is what lets supervisord shard groups across worker threads
 //! and still emit a byte-identical verdict log at any worker count.
 
-use crate::pcc_guard::recommended_eps_max;
+use crate::pcc_guard::{recommended_eps_max, PccLossPatternMonitor};
 use crate::supervisor::Risk;
 use dui_telemetry::Snapshot;
 use std::collections::{BTreeMap, VecDeque};
-
-/// An online risk estimator fed framed snapshot deltas.
-///
-/// Implementations hold windowed state; `observe` folds one delta in
-/// and returns the refreshed risk estimate. State must be a
-/// deterministic function of the observed delta sequence.
-pub trait StreamingSupervisor {
-    /// Short stable name for verdict logs (e.g. `"blink"`).
-    fn name(&self) -> &'static str;
-
-    /// Fold one snapshot delta into the windowed state and return the
-    /// refreshed risk estimate.
-    fn observe(&mut self, delta: &Snapshot) -> Risk;
-}
 
 /// Streaming Blink signal: windowed occupancy of a gauge against a
 /// capacity.
@@ -56,8 +37,9 @@ pub trait StreamingSupervisor {
 /// Each delta contributes its `(sum, n)` accumulator for the
 /// configured gauge; risk is the mean over the last `window` deltas
 /// that carried observations, divided by `capacity` and clamped into
-/// `[0, 1]`. With `window = 1` this reproduces the batch
-/// `SnapshotSupervisor::assess` on each delta in isolation.
+/// `[0, 1]`. With `window = 1` each `observe` scores its snapshot in
+/// isolation: `gauge_mean(metric) / capacity`, or no risk when the
+/// gauge is absent.
 #[derive(Debug, Clone)]
 pub struct OccupancyWindow {
     metric: String,
@@ -78,14 +60,10 @@ impl OccupancyWindow {
             recent: VecDeque::new(),
         }
     }
-}
 
-impl StreamingSupervisor for OccupancyWindow {
-    fn name(&self) -> &'static str {
-        "blink"
-    }
-
-    fn observe(&mut self, delta: &Snapshot) -> Risk {
+    /// Fold one snapshot delta into the window and return the
+    /// refreshed risk estimate.
+    pub fn observe(&mut self, delta: &Snapshot) -> Risk {
         if let Some(&(sum, n)) = delta.gauges.get(&self.metric) {
             if n > 0 {
                 if self.recent.len() == self.window {
@@ -111,12 +89,16 @@ impl StreamingSupervisor for OccupancyWindow {
 /// Every gauge in the delta whose name starts with `prefix` is one
 /// group member (e.g. `pytheas.qoe.c3`); its per-delta mean is pushed
 /// into a per-member window. Risk is computed across members'
-/// windowed means with the same median − k·MAD rule as
-/// [`MadReportFilter`](crate::MadReportFilter): members below
-/// `median − k·max(MAD, floor·|median|)` are outliers, and risk is
-/// the outlier fraction scaled by 2 (half the group dragging low is
+/// windowed means by a one-sided rule with a relative floor: members
+/// below `median − k·max(MAD, floor·|median|)` are outliers, and risk
+/// is the outlier fraction scaled by 2 (half the group dragging low is
 /// certain manipulation). Fewer than 4 members is not enough evidence
 /// to accuse anyone.
+///
+/// This is a different statistic from
+/// [`MadReportFilter`](crate::MadReportFilter), which rejects single
+/// reports per arm on both sides of the median with an absolute floor
+/// (`|v − median| > max(k·MAD, floor)`).
 #[derive(Debug, Clone)]
 pub struct GroupOutlierWindow {
     prefix: String,
@@ -128,8 +110,7 @@ pub struct GroupOutlierWindow {
 
 impl GroupOutlierWindow {
     /// Watch member gauges under `prefix` with per-member windows of
-    /// `window` samples; `k = 4.0` / `floor = 0.15` mirror
-    /// `MadReportFilter`'s defaults.
+    /// `window` samples, with `k = 4.0` and a relative `floor = 0.15`.
     pub fn new(prefix: &str, window: usize) -> Self {
         GroupOutlierWindow {
             prefix: prefix.to_string(),
@@ -139,14 +120,10 @@ impl GroupOutlierWindow {
             members: BTreeMap::new(),
         }
     }
-}
 
-impl StreamingSupervisor for GroupOutlierWindow {
-    fn name(&self) -> &'static str {
-        "pytheas"
-    }
-
-    fn observe(&mut self, delta: &Snapshot) -> Risk {
+    /// Fold one snapshot delta into the member windows and return the
+    /// refreshed risk estimate.
+    pub fn observe(&mut self, delta: &Snapshot) -> Risk {
         for (name, &(sum, n)) in delta.gauges.range(self.prefix.clone()..) {
             if !name.starts_with(&self.prefix) {
                 break;
@@ -182,12 +159,13 @@ impl StreamingSupervisor for GroupOutlierWindow {
 /// counters, plus the ε amplitude clamp.
 ///
 /// Producers export four counters per epoch (deltas of the
-/// [`PccLossPatternMonitor`](crate::PccLossPatternMonitor) tallies):
+/// [`PccLossPatternMonitor`] tallies):
 /// `<prefix>.high_lossy`, `<prefix>.high_total`, `<prefix>.low_lossy`,
-/// `<prefix>.low_total`. The window holds the last `window` deltas;
-/// risk is `P(loss | high) − P(loss | low)` over the windowed sums,
-/// clamped to `[0, 1]`, with the monitor's ≥ 10-samples-per-side rule
-/// before accusing anyone.
+/// `<prefix>.low_total`. The window holds the last `window` non-empty
+/// deltas; risk is [`PccLossPatternMonitor::risk`] of the windowed
+/// sums. The counters carry no loss magnitudes, so that risk reduces
+/// to the presence asymmetry `P(loss | high) − P(loss | low)`, clamped
+/// to `[0, 1]`, behind the monitor's ≥ 10-samples-per-side rule.
 #[derive(Debug, Clone)]
 pub struct DropPatternWindow {
     names: [String; 4],
@@ -218,14 +196,10 @@ impl DropPatternWindow {
     pub fn recommended_eps(&self, eps_min: f64, eps_max: f64) -> f64 {
         recommended_eps_max(self.last_risk, eps_min, eps_max)
     }
-}
 
-impl StreamingSupervisor for DropPatternWindow {
-    fn name(&self) -> &'static str {
-        "pcc"
-    }
-
-    fn observe(&mut self, delta: &Snapshot) -> Risk {
+    /// Fold one snapshot delta into the window and return the
+    /// refreshed risk estimate.
+    pub fn observe(&mut self, delta: &Snapshot) -> Risk {
         let row = [
             delta.counter(&self.names[0]),
             delta.counter(&self.names[1]),
@@ -238,23 +212,14 @@ impl StreamingSupervisor for DropPatternWindow {
             }
             self.recent.push_back(row);
         }
-        let sums = self
-            .recent
-            .iter()
-            .fold([0u64; 4], |mut acc, r| {
-                for (a, &b) in acc.iter_mut().zip(r.iter()) {
-                    *a += b;
-                }
-                acc
-            });
-        let [hl, ht, ll, lt] = sums;
-        if ht < 10 || lt < 10 {
-            self.last_risk = Risk::NONE;
-            return Risk::NONE;
+        let mut sums = PccLossPatternMonitor::new();
+        for &[hl, ht, ll, lt] in &self.recent {
+            sums.high_lossy += hl;
+            sums.high_total += ht;
+            sums.low_lossy += ll;
+            sums.low_total += lt;
         }
-        let p_high = hl as f64 / ht as f64;
-        let p_low = ll as f64 / lt as f64;
-        self.last_risk = Risk::clamped(p_high - p_low);
+        self.last_risk = sums.risk();
         self.last_risk
     }
 }
@@ -298,14 +263,10 @@ impl SynBacklogWindow {
             recent: VecDeque::new(),
         }
     }
-}
 
-impl StreamingSupervisor for SynBacklogWindow {
-    fn name(&self) -> &'static str {
-        "syn_backlog"
-    }
-
-    fn observe(&mut self, delta: &Snapshot) -> Risk {
+    /// Fold one snapshot delta into the window and return the
+    /// refreshed risk estimate.
+    pub fn observe(&mut self, delta: &Snapshot) -> Risk {
         let (gsum, gn) = delta.gauges.get(&self.live).copied().unwrap_or((0.0, 0));
         let row = (
             gsum,
@@ -365,15 +326,6 @@ mod tests {
         assert_eq!(s.observe(&high).0, 0.875);
         // An empty delta does not decay the window.
         assert_eq!(s.observe(&Snapshot::default()).0, 0.875);
-    }
-
-    #[test]
-    fn occupancy_window_of_one_matches_batch_assess() {
-        use crate::supervisor::{SnapshotSupervisor, Supervisor};
-        let snap = gauge_delta(&[("cells", 48.0)]);
-        let mut batch = SnapshotSupervisor::occupancy("cells", 64.0);
-        let mut stream = OccupancyWindow::new("cells", 64.0, 1);
-        assert_eq!(stream.observe(&snap).0, batch.assess(&snap).0);
     }
 
     #[test]

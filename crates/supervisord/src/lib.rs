@@ -1,17 +1,18 @@
 //! # dui-supervisord
 //!
 //! Supervisor-as-a-service: the paper's §5 driver/supervisor loop
-//! (Fig. 3) productionized into a streaming detection pipeline. Where
-//! `dui-defense::SnapshotSupervisor` scores one frozen telemetry
-//! snapshot per experiment stage, this crate runs the supervisor
-//! *online*: N concurrent simulation producers ship
-//! [`Frame`](dui_telemetry::delta::Frame)d snapshot deltas over bounded
-//! channels, the pipeline shards them by group key onto worker
-//! threads, folds each group's deltas into windowed
-//! [`StreamingSupervisor`](dui_defense::streaming::StreamingSupervisor)
-//! state (Blink cell occupancy, Pytheas group outliers, PCC
-//! drop-pattern asymmetry + ε clamp), and emits one [`Verdict`] per
-//! frame into a deterministic, totally-ordered JSONL log.
+//! (Fig. 3) run online as a streaming detection pipeline. N concurrent
+//! simulation producers ship [`Frame`](dui_telemetry::delta::Frame)d
+//! snapshot deltas over bounded channels, the pipeline shards them by
+//! group key onto worker threads, and each group's [`SignalBank`]
+//! folds the deltas into the windowed risk signals of
+//! [`dui_defense::streaming`] (Blink cell occupancy, Pytheas group
+//! outliers, PCC drop-pattern asymmetry, SYN-backlog pressure). The
+//! bank maps the overall risk to an allow / constrain / veto verdict
+//! plus a PCC ε clamp — Fig. 3's withdrawal of the driver's authority —
+//! and the sink emits one [`Verdict`] per frame into a deterministic,
+//! totally-ordered JSONL log. (The in-simulation counterpart is
+//! `dui_defense::BlinkRtoGuard`, which vetoes Blink reroutes mid-run.)
 //!
 //! ## Dataflow
 //!
@@ -53,5 +54,5 @@ pub mod signals;
 pub mod verdict;
 
 pub use pipeline::{Clock, Config, PipelineReport, ProducerSpec, run};
-pub use signals::{SignalBank, SignalConfig};
+pub use signals::SignalBank;
 pub use verdict::{Action, Verdict};

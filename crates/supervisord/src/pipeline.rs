@@ -13,7 +13,7 @@
 //! frame sequences; everything it *measures* (latency, throughput)
 //! comes from an injected [`Clock`] and is reported out-of-band.
 
-use crate::signals::{SignalBank, SignalConfig};
+use crate::signals::SignalBank;
 use crate::verdict::{to_jsonl, Verdict};
 use dui_telemetry::channel::{bounded, Receiver};
 use dui_telemetry::delta::Frame;
@@ -39,9 +39,6 @@ pub struct Config {
     /// Per-producer channel capacity; a full channel blocks its
     /// producer (backpressure) rather than buffering unboundedly.
     pub channel_capacity: usize,
-    /// Signal wiring and thresholds for every group's
-    /// [`SignalBank`].
-    pub signals: SignalConfig,
     /// Optional wall clock for latency accounting.
     pub clock: Option<Clock>,
 }
@@ -51,7 +48,6 @@ impl Default for Config {
         Config {
             workers: 1,
             channel_capacity: 64,
-            signals: SignalConfig::default(),
             clock: None,
         }
     }
@@ -151,8 +147,7 @@ where
             .into_iter()
             .map(|chans| {
                 let clock = cfg.clock.clone();
-                let signals = &cfg.signals;
-                s.spawn(move || worker_loop(chans, signals, clock))
+                s.spawn(move || worker_loop(chans, clock))
             })
             .collect();
         for h in handles {
@@ -187,11 +182,7 @@ where
 /// full set of heads — that (plus SPSC FIFO order) is what makes the
 /// per-group processing order independent of which other groups share
 /// the worker.
-fn worker_loop(
-    chans: Vec<WorkerInput>,
-    signals: &SignalConfig,
-    clock: Option<Clock>,
-) -> (Vec<Verdict>, LogHistogram, u64) {
+fn worker_loop(chans: Vec<WorkerInput>, clock: Option<Clock>) -> (Vec<Verdict>, LogHistogram, u64) {
     let mut heads: Vec<Option<Frame>> = (0..chans.len()).map(|_| None).collect();
     let mut open = vec![true; chans.len()];
     let mut banks: BTreeMap<String, SignalBank> = BTreeMap::new();
@@ -223,9 +214,7 @@ fn worker_loop(
             break; // unreachable: `best` only indexes filled heads
         };
         let group = &chans[i].group;
-        let bank = banks
-            .entry(group.clone())
-            .or_insert_with(|| SignalBank::new(signals));
+        let bank = banks.entry(group.clone()).or_default();
         let verdict = bank.observe(group, &frame);
         if let Some(c) = &clock {
             latency.record(c().saturating_sub(frame.ingest_ns));

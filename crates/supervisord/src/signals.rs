@@ -3,89 +3,67 @@
 
 use crate::verdict::{Action, Verdict};
 use dui_defense::streaming::{
-    DropPatternWindow, GroupOutlierWindow, OccupancyWindow, StreamingSupervisor,
-    SynBacklogWindow,
+    DropPatternWindow, GroupOutlierWindow, OccupancyWindow, SynBacklogWindow,
 };
 use dui_telemetry::delta::Frame;
 
-/// Configuration for the per-group signal bank: which metrics feed
-/// each signal and how verdicts map risk to actions.
-#[derive(Debug, Clone)]
-pub struct SignalConfig {
-    /// Gauge watched by the Blink occupancy signal.
-    pub blink_metric: String,
-    /// Full-scale occupancy (risk 1.0) for the Blink signal — 64 cells
-    /// in the paper's selector.
-    pub blink_capacity: f64,
-    /// Gauge-name prefix whose members feed the Pytheas outlier signal.
-    pub pytheas_prefix: String,
-    /// Counter-name prefix (`<prefix>.{high,low}_{lossy,total}`) feeding
-    /// the PCC drop-pattern signal.
-    pub pcc_prefix: String,
-    /// Metric-name prefix (`<prefix>.{synrcvd_live,syn_dropped,synrcvd}`)
-    /// feeding the SYN-backlog signal.
-    pub syn_prefix: String,
-    /// Listener backlog capacity (risk 1.0 occupancy) for the
-    /// SYN-backlog signal.
-    pub syn_backlog: f64,
-    /// Window length, in frames, for every signal's state.
-    pub window: usize,
-    /// PCC ε bounds for the amplitude clamp.
-    pub eps_min: f64,
-    /// See `eps_min`.
-    pub eps_max: f64,
-    /// Risk above which verdicts constrain the drivers.
-    pub constrain_above: f64,
-    /// Risk above which verdicts veto proposals outright.
-    pub veto_above: f64,
-}
-
-impl Default for SignalConfig {
-    fn default() -> Self {
-        SignalConfig {
-            blink_metric: "blink.cells.malicious".to_string(),
-            blink_capacity: 64.0,
-            pytheas_prefix: "pytheas.qoe.".to_string(),
-            pcc_prefix: "pcc.mi".to_string(),
-            syn_prefix: "tcp.handshake".to_string(),
-            syn_backlog: 64.0,
-            window: 8,
-            eps_min: 0.01,
-            eps_max: 0.05,
-            constrain_above: 0.25,
-            veto_above: 0.5,
-        }
-    }
-}
+/// Gauge watched by the Blink occupancy signal.
+const BLINK_METRIC: &str = "blink.cells.malicious";
+/// Full-scale occupancy (risk 1.0) for the Blink signal — 64 cells in
+/// the paper's selector.
+const BLINK_CAPACITY: f64 = 64.0;
+/// Gauge-name prefix whose members feed the Pytheas outlier signal.
+const PYTHEAS_PREFIX: &str = "pytheas.qoe.";
+/// Counter-name prefix (`<prefix>.{high,low}_{lossy,total}`) feeding the
+/// PCC drop-pattern signal.
+const PCC_PREFIX: &str = "pcc.mi";
+/// Metric-name prefix (`<prefix>.{synrcvd_live,syn_dropped,synrcvd}`)
+/// feeding the SYN-backlog signal.
+const SYN_PREFIX: &str = "tcp.handshake";
+/// Listener backlog capacity (risk 1.0 occupancy) for the SYN-backlog
+/// signal.
+const SYN_BACKLOG: f64 = 64.0;
+/// Window length, in frames, for every signal's state.
+const WINDOW: usize = 8;
+/// Lower PCC ε bound for the amplitude clamp.
+const EPS_MIN: f64 = 0.01;
+/// Upper PCC ε bound for the amplitude clamp.
+const EPS_MAX: f64 = 0.05;
+/// Risk above which verdicts constrain the drivers.
+const CONSTRAIN_ABOVE: f64 = 0.25;
+/// Risk above which verdicts veto proposals outright.
+const VETO_ABOVE: f64 = 0.5;
 
 /// The windowed signal state of one group. Created lazily when the
 /// group's first frame arrives; owned by exactly one worker (a group's
 /// frames always hash to a single shard), so no cross-worker
 /// synchronization is needed.
+///
+/// Every group uses the same fixed wiring: 8-frame windows, risk above
+/// 0.25 constrains and above 0.5 vetoes, and the PCC ε clamp spans
+/// `[0.01, 0.05]`.
 #[derive(Debug, Clone)]
 pub struct SignalBank {
     blink: OccupancyWindow,
     pytheas: GroupOutlierWindow,
     pcc: DropPatternWindow,
     syn: SynBacklogWindow,
-    eps_min: f64,
-    eps_max: f64,
-    constrain_above: f64,
-    veto_above: f64,
+}
+
+impl Default for SignalBank {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SignalBank {
     /// Fresh signal state for one group.
-    pub fn new(cfg: &SignalConfig) -> Self {
+    pub fn new() -> Self {
         SignalBank {
-            blink: OccupancyWindow::new(&cfg.blink_metric, cfg.blink_capacity, cfg.window),
-            pytheas: GroupOutlierWindow::new(&cfg.pytheas_prefix, cfg.window),
-            pcc: DropPatternWindow::new(&cfg.pcc_prefix, cfg.window),
-            syn: SynBacklogWindow::new(&cfg.syn_prefix, cfg.syn_backlog, cfg.window),
-            eps_min: cfg.eps_min,
-            eps_max: cfg.eps_max,
-            constrain_above: cfg.constrain_above,
-            veto_above: cfg.veto_above,
+            blink: OccupancyWindow::new(BLINK_METRIC, BLINK_CAPACITY, WINDOW),
+            pytheas: GroupOutlierWindow::new(PYTHEAS_PREFIX, WINDOW),
+            pcc: DropPatternWindow::new(PCC_PREFIX, WINDOW),
+            syn: SynBacklogWindow::new(SYN_PREFIX, SYN_BACKLOG, WINDOW),
         }
     }
 
@@ -102,9 +80,9 @@ impl SignalBank {
         // carry no tcp.handshake.* metrics score 0.0 here.
         let syn = self.syn.observe(&frame.delta).0;
         let risk = blink.max(pytheas).max(pcc).max(syn);
-        let action = if risk > self.veto_above {
+        let action = if risk > VETO_ABOVE {
             Action::Veto
-        } else if risk > self.constrain_above {
+        } else if risk > CONSTRAIN_ABOVE {
             Action::Constrain
         } else {
             Action::Allow
@@ -118,7 +96,7 @@ impl SignalBank {
             pytheas,
             pcc,
             risk,
-            eps_max: self.pcc.recommended_eps(self.eps_min, self.eps_max),
+            eps_max: self.pcc.recommended_eps(EPS_MIN, EPS_MAX),
             action,
         }
     }
@@ -141,7 +119,7 @@ mod tests {
 
     #[test]
     fn quiet_group_allows() {
-        let mut bank = SignalBank::new(&SignalConfig::default());
+        let mut bank = SignalBank::new();
         let v = bank.observe("g", &frame(0, Snapshot::default()));
         assert_eq!(v.action, Action::Allow);
         assert_eq!(v.risk, 0.0);
@@ -150,11 +128,7 @@ mod tests {
 
     #[test]
     fn syn_backlog_pressure_escalates_to_veto() {
-        let mut bank = SignalBank::new(&SignalConfig {
-            syn_backlog: 64.0,
-            window: 1,
-            ..SignalConfig::default()
-        });
+        let mut bank = SignalBank::new();
         let mut reg = Registry::new();
         let g = reg.gauge("tcp.handshake.synrcvd_live");
         reg.observe(g, 60.0);
@@ -173,10 +147,7 @@ mod tests {
 
     #[test]
     fn blink_occupancy_escalates_to_veto() {
-        let mut bank = SignalBank::new(&SignalConfig {
-            window: 1,
-            ..SignalConfig::default()
-        });
+        let mut bank = SignalBank::new();
         let mut reg = Registry::new();
         let g = reg.gauge("blink.cells.malicious");
         reg.observe(g, 56.0);

@@ -22,9 +22,9 @@ struct ArbProducer {
 }
 
 /// Drive a [`DeltaEncoder`] over a registry receiving random updates
-/// to the metrics the default [`SignalConfig`] watches — plus noise
-/// metrics no signal knows — so generated streams exercise the real
-/// signal bank, not just the plumbing.
+/// to the metrics the [`SignalBank`](dui_supervisord::SignalBank)
+/// watches — plus noise metrics no signal knows — so generated streams
+/// exercise the real signal bank, not just the plumbing.
 fn arb_producer(g: &mut Gen, id: u32) -> ArbProducer {
     let group = format!("g{}", g.u32(0..4));
     let mut reg = Registry::new();

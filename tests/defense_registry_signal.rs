@@ -64,15 +64,24 @@ fn registry_snapshot_agrees_with_direct_api() {
 
 /// A supervisor assessing risk purely from registry snapshots (Fig. 3
 /// point III/IV) sees the attacked run as risky: malicious flows hold
-/// 33/64 cells, beyond half the selector's capacity.
+/// 33/64 cells, beyond half the selector's capacity. A window of one
+/// frame scores its snapshot in isolation: exactly the gauge's mean
+/// over the capacity.
 #[test]
 fn snapshot_supervisor_flags_malicious_occupancy() {
-    use dui_defense::supervisor::{SnapshotSupervisor, Supervisor};
+    use dui_defense::streaming::OccupancyWindow;
 
-    let mut sup = SnapshotSupervisor::occupancy("blink.cells.malicious", 64.0);
+    let occupancy = |snap: &dui_core::telemetry::Snapshot| {
+        OccupancyWindow::new("blink.cells.malicious", 64.0, 1).observe(snap)
+    };
     let mut sc = run(false);
     let snap = sc.metrics();
-    let risk = sup.assess(&snap);
+    let risk = occupancy(&snap);
+    assert_eq!(
+        risk.0,
+        snap.gauge_mean("blink.cells.malicious").unwrap() / 64.0,
+        "window of one is the snapshot's occupancy ratio"
+    );
     assert!(
         risk.0 > 0.5,
         "33/64 malicious occupancy must read as high risk, got {}",
@@ -80,5 +89,5 @@ fn snapshot_supervisor_flags_malicious_occupancy() {
     );
     // An idle network reads as no risk.
     let empty = dui_core::telemetry::Snapshot::default();
-    assert_eq!(sup.assess(&empty).0, 0.0);
+    assert_eq!(occupancy(&empty).0, 0.0);
 }

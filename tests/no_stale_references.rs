@@ -1,8 +1,14 @@
-//! Guard against the removed domain-parallel engine's knob coming back
-//! through a doc, a script or a call site: no file under `crates/`
-//! (except the benchmark under `crates/bench/perf/`, which is frozen),
-//! `src/`, `tests/`, `scripts/` or `docs/` may mention the thread-count
-//! option or the deleted chapter.
+//! Guard against removed code coming back through a doc, a script or a
+//! call site: no file under `crates/` (except the benchmark under
+//! `crates/bench/perf/`, which is frozen), `src/`, `tests/`, `scripts/`
+//! or `docs/` may mention
+//!
+//! * the domain-parallel engine's thread-count option or its deleted
+//!   chapter;
+//! * the second copies of the §5 risk signals: the batch supervisor
+//!   layer beside the `dui-defense::streaming` windows, supervisord's
+//!   per-signal config, the unused input-quality helpers and the
+//!   fixed-bin `dui-stats` histogram.
 
 use std::path::{Path, PathBuf};
 
@@ -10,11 +16,19 @@ use std::path::{Path, PathBuf};
 /// not match itself.
 fn needles() -> Vec<String> {
     let sim = "sim";
+    let sup = "Supervisor";
     vec![
         format!("{sim}_threads"),
         format!("--{sim}-threads"),
         format!("set_{sim}_threads"),
         format!("parallel-{}.md", "domains"),
+        format!("Snapshot{sup}"),
+        format!("Threshold{sup}"),
+        format!("Streaming{sup}"),
+        format!("Signal{}", "Config"),
+        format!("Operating{}", "Range"),
+        format!("input_{}", "quality"),
+        format!("dui_stats::{}", "hist"),
     ]
 }
 
@@ -39,7 +53,7 @@ fn walk(dir: &Path, skip: &[PathBuf], out: &mut Vec<PathBuf>) {
 }
 
 #[test]
-fn removed_sim_thread_knob_is_not_mentioned() {
+fn removed_knob_and_duplicate_signals_are_not_mentioned() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let skip = [root.join("crates/bench/perf")];
     let mut files = Vec::new();
