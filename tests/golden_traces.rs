@@ -34,7 +34,9 @@ fn fixture_path(file: &str) -> PathBuf {
 }
 
 /// Record `stage` and render its trace: one header line binding the
-/// configuration, one line per checkpoint, one final-hash line.
+/// configuration, one line per checkpoint, one final-hash line, and one
+/// line pinning the length and digest of the encoded recording (which
+/// covers components, payloads, the names table and every event frame).
 fn record_trace(stage: &str, every: u64) -> String {
     let mut subject = build_subject(stage).expect("recordable stage");
     let s = subject.as_subject_mut();
@@ -50,6 +52,10 @@ fn record_trace(stage: &str, every: u64) -> String {
         let _ = writeln!(out, "{} {} {:016x}", c.event_index, c.time, c.state_hash);
     }
     let _ = writeln!(out, "final {:016x}", rec.final_hash);
+    let bytes = rec.to_bytes();
+    let mut d = StateDigest::new();
+    d.write_bytes(&bytes);
+    let _ = writeln!(out, "bytes {} {:016x}", bytes.len(), d.finish());
     out
 }
 
