@@ -239,14 +239,16 @@ impl EventQueue {
         self.wheel.schedule(time.0, event);
     }
 
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.wheel.peek_time().map(SimTime)
-    }
-
     /// Pop the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         self.wheel.pop().map(|(t, e)| (SimTime(t), e))
+    }
+
+    /// Pop the earliest pending event if it is due at or before `limit`;
+    /// otherwise leave the queue as it is. Never cascades wheel slots
+    /// past `limit` (see [`TimerWheel::pop_due`]).
+    pub fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, Event)> {
+        self.wheel.pop_due(limit.0).map(|(t, e)| (SimTime(t), e))
     }
 
     /// Number of pending events.
@@ -272,9 +274,11 @@ impl EventQueue {
     /// values are an implementation detail (a restored queue re-schedules
     /// these in order and gets fresh, order-preserving sequence numbers).
     pub fn snapshot_refs(&self) -> Vec<(SimTime, &Event)> {
-        let mut v: Vec<(u64, u64, &Event)> = self.wheel.iter();
-        v.sort_unstable_by_key(|&(t, q, _)| (t, q));
-        v.into_iter().map(|(t, _, e)| (SimTime(t), e)).collect()
+        self.wheel
+            .in_order()
+            .into_iter()
+            .map(|(t, e)| (SimTime(t), e))
+            .collect()
     }
 
     /// Pending events materialized in dispatch order for checkpointing:
@@ -331,13 +335,14 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop() {
+    fn pop_due_waits_for_its_limit() {
         let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
+        assert!(q.pop_due(SimTime::from_secs(9)).is_none());
         q.schedule(SimTime::from_secs(5), timer(0, 0));
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
+        assert!(q.pop_due(SimTime::from_secs(4)).is_none());
         assert_eq!(q.len(), 1);
-        q.pop();
+        let (t, _) = q.pop_due(SimTime::from_secs(5)).expect("due at its limit");
+        assert_eq!(t, SimTime::from_secs(5));
         assert!(q.is_empty());
     }
 

@@ -139,12 +139,6 @@ impl<T> Slot<T> {
         }
     }
 
-    /// Remove and return the minimum-key entry.
-    fn pop_min(&mut self) -> Option<Entry<T>> {
-        self.ensure_sorted();
-        self.entries.pop_back()
-    }
-
     /// Key of the minimum entry without mutating (linear when dirty).
     fn peek_min_key(&self) -> Option<(u64, u64)> {
         if self.sorted {
@@ -297,28 +291,48 @@ impl<T> TimerWheel<T> {
 
     /// Pop the minimum-`(time, seq)` entry, advancing the cursor.
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        self.pop_entry().map(|e| (e.time, e.value))
+        self.pop_due(u64::MAX)
     }
 
-    fn pop_entry(&mut self) -> Option<Entry<T>> {
+    /// Pop the minimum-`(time, seq)` entry if its time is at most
+    /// `limit`; otherwise leave the wheel as it is and return `None`.
+    ///
+    /// One scan replaces [`TimerWheel::peek_time`] followed by
+    /// [`TimerWheel::pop`], with the same effect: a higher-level slot is
+    /// cascaded, or an overflow epoch promoted, only when its earliest
+    /// entry is due, so [`WheelStats`] after `pop_due(limit)` equal the
+    /// stats after `peek_time() <= limit` then `pop()`.
+    pub fn pop_due(&mut self, limit: u64) -> Option<(u64, T)> {
         loop {
             // Level 0 holds exactly the current 256-tick window; its first
             // occupied slot contains the global minimum.
             if let Some(i) = self.levels[0].first_occupied_from(self.base(0)) {
                 let slot = &mut self.levels[0].slots[i];
-                let e = slot.pop_min().expect("occupied bit set on empty slot"); // lint: allow(panic): occupancy bitmap invariant
+                slot.ensure_sorted();
+                let due = slot.entries.back().is_some_and(|e| e.time <= limit);
+                if !due {
+                    return None;
+                }
+                let e = slot.entries.pop_back().expect("occupied bit set on empty slot"); // lint: allow(panic): occupancy bitmap invariant
                 if slot.entries.is_empty() {
                     self.levels[0].clear(i);
                 }
                 self.len -= 1;
                 self.cursor = self.cursor.max(e.time >> TICK_SHIFT);
-                return Some(e);
+                return Some((e.time, e.value));
             }
             // Level 0 exhausted: cascade the next occupied higher-level
-            // slot into the lower levels and retry.
+            // slot into the lower levels and retry — but only if it holds
+            // a due entry (it holds the global minimum).
             let mut cascaded = false;
             for level in 1..LEVELS {
                 if let Some(j) = self.levels[level].first_occupied_from(self.base(level)) {
+                    let (min_time, _) = self.levels[level].slots[j]
+                        .peek_min_key()
+                        .expect("occupied bit set on empty slot"); // lint: allow(panic): occupancy bitmap invariant
+                    if min_time > limit {
+                        return None;
+                    }
                     let entries = std::mem::take(&mut self.levels[level].slots[j].entries);
                     self.levels[level].slots[j].sorted = true;
                     self.levels[level].clear(j);
@@ -342,8 +356,10 @@ impl<T> TimerWheel<T> {
             }
             // All wheels empty: promote the next overflow epoch, if any.
             let epoch = match self.overflow.peek() {
-                Some(Reverse(HeapEntry(e))) => (e.time >> TICK_SHIFT) >> (SLOT_BITS * 4),
-                None => return None,
+                Some(Reverse(HeapEntry(e))) if e.time <= limit => {
+                    (e.time >> TICK_SHIFT) >> (SLOT_BITS * 4)
+                }
+                _ => return None,
             };
             self.cursor = epoch << (SLOT_BITS * 4);
             while let Some(Reverse(HeapEntry(e))) = self.overflow.peek() {
@@ -371,30 +387,47 @@ impl<T> TimerWheel<T> {
         self.overflow.peek().map(|Reverse(HeapEntry(e))| e.time)
     }
 
-    /// Visit every pending entry as `(time, seq, &value)`, in storage
-    /// order (not pop order — sort by `(time, seq)` for that). Borrows
-    /// only; the caller decides what to clone. Walks the occupancy
-    /// bitmaps, so the cost scales with pending entries, not with the
-    /// 1024 slots of the wheel.
-    pub fn iter(&self) -> Vec<(u64, u64, &T)> {
-        let mut v = Vec::with_capacity(self.len);
+    /// Every pending entry as `(time, &value)`, in pop order: exactly
+    /// the sequence repeated [`TimerWheel::pop`] calls would return.
+    /// Borrows only; the caller decides what to clone.
+    ///
+    /// The wheel already stores entries nearly in order, so no global
+    /// sort is needed: every level-`L` entry is later than every
+    /// level-`(L-1)` entry, a level's occupied slots are in tick order
+    /// from the cursor upward, and overflow entries come after all of
+    /// them. Each slot is read from the back (slots are kept descending);
+    /// a slot marked unsorted is sorted on its own, as is the overflow
+    /// heap. Walks the occupancy bitmaps, so the cost scales with pending
+    /// entries, not with the 1024 slots of the wheel.
+    pub fn in_order(&self) -> Vec<(u64, &T)> {
+        let mut out = Vec::with_capacity(self.len);
+        let mut unsorted: Vec<&Entry<T>> = Vec::new();
         for l in &self.levels {
             for (w, &bits) in l.occupied.iter().enumerate() {
                 let mut b = bits;
                 while b != 0 {
                     let i = b.trailing_zeros() as usize;
                     b &= b - 1;
-                    for e in &l.slots[(w << 6) | i].entries {
-                        v.push((e.time, e.seq, &e.value));
+                    let slot = &l.slots[(w << 6) | i];
+                    if slot.sorted {
+                        out.extend(slot.entries.iter().rev().map(|e| (e.time, &e.value)));
+                    } else {
+                        unsorted.extend(slot.entries.iter());
+                        drain_sorted(&mut out, &mut unsorted);
                     }
                 }
             }
         }
-        for Reverse(HeapEntry(e)) in &self.overflow {
-            v.push((e.time, e.seq, &e.value));
-        }
-        v
+        unsorted.extend(self.overflow.iter().map(|Reverse(HeapEntry(e))| e));
+        drain_sorted(&mut out, &mut unsorted);
+        out
     }
+}
+
+/// Sort `run` by `(time, seq)` and move it onto the end of `out`.
+fn drain_sorted<'a, T>(out: &mut Vec<(u64, &'a T)>, run: &mut Vec<&'a Entry<T>>) {
+    run.sort_unstable_by_key(|e| e.key());
+    out.extend(run.drain(..).map(|e| (e.time, &e.value)));
 }
 
 /// The binary-heap event queue the wheel replaced, kept as the reference
@@ -552,15 +585,29 @@ mod tests {
     }
 
     #[test]
-    fn iter_sees_every_pending_entry() {
+    fn in_order_walk_matches_pops_across_levels() {
         let mut w = TimerWheel::new();
-        for &t in &[10u64, 5_000_000, 1 << 50] {
+        for &t in &[1u64 << 50, 5_000_000, 10, 300 << TICK_SHIFT, 12, 11] {
             w.schedule(t, t);
         }
-        let mut seen: Vec<(u64, u64)> = w.iter().into_iter().map(|(t, s, _)| (t, s)).collect();
-        seen.sort_unstable();
-        assert_eq!(seen.len(), 3);
-        assert_eq!(seen[0], (10, 0));
+        let walked: Vec<u64> = w.in_order().into_iter().map(|(t, _)| t).collect();
+        let popped: Vec<u64> = std::iter::from_fn(|| w.pop()).map(|(t, _)| t).collect();
+        assert_eq!(walked, popped);
+        assert_eq!(walked, [10, 11, 12, 300 << TICK_SHIFT, 5_000_000, 1 << 50]);
+    }
+
+    #[test]
+    fn pop_due_never_cascades_past_its_limit() {
+        let mut w = TimerWheel::new();
+        w.schedule(300 << TICK_SHIFT, 0u64);
+        w.schedule(1u64 << 50, 1);
+        let before = w.stats();
+        assert_eq!(w.pop_due((300 << TICK_SHIFT) - 1), None);
+        assert_eq!(w.stats(), before, "nothing due, nothing cascaded");
+        assert_eq!(w.pop_due(300 << TICK_SHIFT), Some((300 << TICK_SHIFT, 0)));
+        assert_eq!(w.stats().cascades, 1);
+        assert_eq!(w.pop_due(u64::MAX - 1), Some((1 << 50, 1)));
+        assert_eq!(w.pop_due(u64::MAX), None);
     }
 
     #[test]

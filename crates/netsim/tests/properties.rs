@@ -167,6 +167,85 @@ prop_check! {
         prop_assert!(heap.is_empty());
     }
 
+    fn wheel_in_order_walk_matches_heap_pop_sequence(g) {
+        // After an arbitrary interleaving of schedules (future, clamped
+        // into the past, and beyond the overflow horizon) and pops, the
+        // wheel's in-order walk lists exactly what the reference heap
+        // pops next, and what the wheel itself pops.
+        use dui_netsim::wheel::{BaselineHeapQueue, TimerWheel};
+        let mut wheel: TimerWheel<u64> = TimerWheel::new();
+        let mut heap: BaselineHeapQueue<u64> = BaselineHeapQueue::new();
+        let ops = g.usize(1..300);
+        let mut clock = 0u64;
+        for payload in 0..ops as u64 {
+            if g.bool() || wheel.is_empty() {
+                // Sub-tick up to past the 4-level horizon.
+                let bits = 10 + 8 * g.u32(0..6);
+                let delta = g.u64(0..1 << bits);
+                let t = if g.u8(0..4) == 0 {
+                    clock.saturating_sub(delta) // clamped into the cursor slot
+                } else {
+                    clock.saturating_add(delta)
+                };
+                wheel.schedule(t, payload);
+                heap.schedule(t, payload);
+            } else {
+                let a = wheel.pop();
+                prop_assert_eq!(a, heap.pop());
+                if let Some((t, _)) = a {
+                    clock = clock.max(t);
+                }
+            }
+        }
+        let walked: Vec<(u64, u64)> = wheel.in_order().into_iter().map(|(t, &v)| (t, v)).collect();
+        prop_assert_eq!(walked.len(), wheel.len());
+        let heap_pops: Vec<(u64, u64)> = std::iter::from_fn(|| heap.pop()).collect();
+        prop_assert_eq!(&walked, &heap_pops, "walk differs from the heap's pop order");
+        let wheel_pops: Vec<(u64, u64)> = std::iter::from_fn(|| wheel.pop()).collect();
+        prop_assert_eq!(&walked, &wheel_pops, "walk differs from the wheel's own pops");
+    }
+
+    fn pop_due_matches_peek_then_pop(g) {
+        // `pop_due(limit)` must behave exactly like `peek_time() <= limit`
+        // then `pop()`: same result, and the same cascades and deferrals
+        // (no cascade for an entry past the limit).
+        use dui_netsim::wheel::TimerWheel;
+        let mut due: TimerWheel<u64> = TimerWheel::new();
+        let mut peeked: TimerWheel<u64> = TimerWheel::new();
+        let ops = g.usize(1..300);
+        let mut clock = 0u64;
+        for payload in 0..ops as u64 {
+            let bits = 10 + 8 * g.u32(0..6);
+            let delta = g.u64(0..1 << bits);
+            if g.bool() {
+                let t = if g.u8(0..4) == 0 {
+                    clock.saturating_sub(delta)
+                } else {
+                    clock.saturating_add(delta)
+                };
+                due.schedule(t, payload);
+                peeked.schedule(t, payload);
+            } else {
+                let limit = match g.u8(0..4) {
+                    0 => clock.saturating_sub(delta),
+                    1 => u64::MAX,
+                    _ => clock.saturating_add(delta),
+                };
+                let a = due.pop_due(limit);
+                let b = match peeked.peek_time() {
+                    Some(t) if t <= limit => peeked.pop(),
+                    _ => None,
+                };
+                prop_assert_eq!(a, b, "pop_due({}) diverged", limit);
+                if let Some((t, _)) = a {
+                    clock = clock.max(t);
+                }
+            }
+            prop_assert_eq!(due.stats(), peeked.stats());
+            prop_assert_eq!(due.len(), peeked.len());
+        }
+    }
+
     fn wheel_fifo_among_equal_times_any_scale(g) {
         use dui_netsim::wheel::TimerWheel;
         // Bursts at the same timestamp must pop in schedule order no

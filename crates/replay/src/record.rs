@@ -135,6 +135,15 @@ fn read_opt_varint(bytes: &[u8], pos: &mut usize) -> Result<Option<u64>, String>
     }
 }
 
+/// How many of `count` claimed items to reserve room for, when each
+/// takes at least `min_size` encoded bytes and `remaining` bytes of input
+/// are left: the claim, capped by what the input could actually hold. A
+/// forged count cannot reserve more than the input justifies, and an
+/// honest one reserves its exact size once.
+fn bounded_capacity(count: usize, min_size: usize, remaining: usize) -> usize {
+    count.min(remaining / min_size)
+}
+
 fn read_u8(bytes: &[u8], pos: &mut usize) -> Result<u8, String> {
     let b = *bytes
         .get(*pos)
@@ -266,12 +275,17 @@ impl Recording {
         let stage = read_str(bytes, &mut pos)?;
         let config_digest = read_u64_le(bytes, &mut pos)?;
         let name_count = read_varint(bytes, &mut pos)? as usize;
-        let mut names = Vec::with_capacity(name_count.min(1024));
+        // Minimum encoded sizes: a name is a 1-byte length; an event a
+        // 1-byte delta, a 1-byte kind and an 8-byte digest; a checkpoint
+        // two 1-byte varints, an 8-byte hash, a 1-byte component count and
+        // a 1-byte payload flag; a component a 1-byte name and an 8-byte
+        // digest.
+        let mut names = Vec::with_capacity(bounded_capacity(name_count, 1, bytes.len() - pos));
         for _ in 0..name_count {
             names.push(read_str(bytes, &mut pos)?);
         }
         let event_count = read_varint(bytes, &mut pos)? as usize;
-        let mut events = Vec::with_capacity(event_count.min(1 << 20));
+        let mut events = Vec::with_capacity(bounded_capacity(event_count, 10, bytes.len() - pos));
         let mut prev = 0u64;
         for _ in 0..event_count {
             let dt = read_varint(bytes, &mut pos)?;
@@ -284,13 +298,15 @@ impl Recording {
             events.push(EventFrame { time, kind, digest });
         }
         let ckpt_count = read_varint(bytes, &mut pos)? as usize;
-        let mut checkpoints = Vec::with_capacity(ckpt_count.min(1 << 16));
+        let mut checkpoints =
+            Vec::with_capacity(bounded_capacity(ckpt_count, 12, bytes.len() - pos));
         for _ in 0..ckpt_count {
             let event_index = read_varint(bytes, &mut pos)?;
             let time = read_varint(bytes, &mut pos)?;
             let state_hash = read_u64_le(bytes, &mut pos)?;
             let comp_count = read_varint(bytes, &mut pos)? as usize;
-            let mut components = Vec::with_capacity(comp_count.min(256));
+            let mut components =
+                Vec::with_capacity(bounded_capacity(comp_count, 9, bytes.len() - pos));
             for _ in 0..comp_count {
                 let name = read_varint(bytes, &mut pos)? as u32;
                 let digest = read_u64_le(bytes, &mut pos)?;
@@ -374,19 +390,21 @@ impl Recorder {
         }
     }
 
-    fn take_checkpoint<S: ReplaySubject + ?Sized>(&mut self, subject: &S, event_index: u64) {
-        let components = subject
-            .component_digests()
+    /// Record one checkpoint of `subject`, returning its state hash.
+    fn take_checkpoint<S: ReplaySubject + ?Sized>(&mut self, subject: &S, event_index: u64) -> u64 {
+        let (state_hash, components, payload) = subject.checkpoint_parts();
+        let components = components
             .into_iter()
             .map(|(name, digest)| (self.rec.intern(name), digest))
             .collect();
         self.rec.checkpoints.push(CheckpointFrame {
             event_index,
             time: subject.now_ns(),
-            state_hash: subject.state_hash(),
+            state_hash,
             components,
-            payload: subject.save_checkpoint(),
+            payload,
         });
+        state_hash
     }
 
     /// Run `subject` to completion, recording every event and a
@@ -401,9 +419,19 @@ impl Recorder {
     /// terminal step before checking it.
     pub fn record<S: ReplaySubject + ?Sized>(mut self, subject: &mut S) -> Recording {
         let mut n = 0u64;
+        // Event kinds are a handful of `&'static str` labels: resolve
+        // each distinct label to its name index once, by address.
+        let mut kinds: Vec<(&'static str, u32)> = Vec::new();
         self.take_checkpoint(subject, 0);
         while let Some(step) = subject.step() {
-            let kind = self.rec.intern(step.kind);
+            let kind = match kinds.iter().find(|(k, _)| std::ptr::eq(*k, step.kind)) {
+                Some(&(_, idx)) => idx,
+                None => {
+                    let idx = self.rec.intern(step.kind);
+                    kinds.push((step.kind, idx));
+                    idx
+                }
+            };
             self.rec.events.push(EventFrame {
                 time: step.time,
                 kind,
@@ -425,8 +453,9 @@ impl Recorder {
         {
             self.rec.checkpoints.pop();
         }
-        self.take_checkpoint(subject, n);
-        self.rec.final_hash = subject.state_hash();
+        // No step runs between the final checkpoint and the end of the
+        // run, so its hash is the final hash.
+        self.rec.final_hash = self.take_checkpoint(subject, n);
         self.rec
     }
 }
@@ -1087,6 +1116,36 @@ mod tests {
         bytes.push(0);
         assert!(Recording::from_bytes(&bytes).is_err(), "trailing bytes");
         assert!(Recording::from_bytes(&rec.to_bytes()[..5]).is_err(), "truncated");
+    }
+
+    #[test]
+    fn forged_counts_fail_without_reserving_for_them() {
+        // A 20-odd-byte header claiming 2^40 events (then checkpoints,
+        // then components) must be refused as truncated; the reservation
+        // is bounded by the bytes actually present.
+        let mut head = MAGIC.to_vec();
+        write_varint(&mut head, VERSION);
+        write_str(&mut head, "x");
+        write_u64_le(&mut head, 0);
+        write_varint(&mut head, 0); // names
+        let mut events = head.clone();
+        write_varint(&mut events, 1 << 40);
+        assert!(Recording::from_bytes(&events).is_err(), "events");
+        let mut ckpts = head.clone();
+        write_varint(&mut ckpts, 0);
+        write_varint(&mut ckpts, 1 << 40);
+        assert!(Recording::from_bytes(&ckpts).is_err(), "checkpoints");
+        let mut comps = head;
+        write_varint(&mut comps, 0);
+        write_varint(&mut comps, 1);
+        for v in [0, 0] {
+            write_varint(&mut comps, v);
+        }
+        write_u64_le(&mut comps, 0);
+        write_varint(&mut comps, 1 << 40);
+        assert!(Recording::from_bytes(&comps).is_err(), "components");
+        assert_eq!(bounded_capacity(1 << 40, 10, 20), 2);
+        assert_eq!(bounded_capacity(3, 10, 1_000), 3, "honest counts reserve exactly");
     }
 
     #[test]

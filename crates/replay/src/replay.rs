@@ -23,6 +23,10 @@ pub struct StepInfo {
     pub digest: u64,
 }
 
+/// What [`ReplaySubject::checkpoint_parts`] returns: the full state
+/// hash, the named component digests, and the restorable payload.
+pub type CheckpointParts = (u64, Vec<(&'static str, u64)>, Option<Vec<u8>>);
+
 /// A deterministic, steppable, hashable simulation that can be recorded
 /// and replayed.
 pub trait ReplaySubject {
@@ -48,6 +52,17 @@ pub trait ReplaySubject {
     /// resumed (hash-only recording).
     fn save_checkpoint(&self) -> Option<Vec<u8>> {
         None
+    }
+
+    /// Everything one recorded checkpoint holds, as
+    /// `(state_hash, component_digests, save_checkpoint)`.
+    ///
+    /// The default calls the three methods in turn. A subject whose
+    /// methods each walk the same state overrides this to walk it once;
+    /// the override must return exactly what the three methods would.
+    fn checkpoint_parts(&self) -> CheckpointParts {
+        let components = self.component_digests();
+        (self.state_hash(), components, self.save_checkpoint())
     }
 
     /// Restore state previously produced by
@@ -196,15 +211,17 @@ impl<'a> Replayer<'a> {
         diffs
     }
 
+    /// Check `subject` against checkpoint `ckpt`, returning the live
+    /// state hash it computed.
     fn check_checkpoint<S: ReplaySubject + ?Sized>(
         &self,
         subject: &S,
         ckpt_idx: usize,
         ckpt: &CheckpointFrame,
-    ) -> Result<(), ReplayError> {
+    ) -> Result<u64, ReplayError> {
         let live = subject.state_hash();
         if live == ckpt.state_hash {
-            return Ok(());
+            return Ok(live);
         }
         Err(ReplayError::HashMismatch {
             checkpoint: ckpt_idx as u64,
@@ -286,6 +303,7 @@ impl<'a> Replayer<'a> {
                 live: applied + 1,
             });
         }
+        let mut end_hash = None;
         for (i, c) in ckpts {
             if c.event_index != applied {
                 return Err(ReplayError::Malformed(format!(
@@ -293,10 +311,11 @@ impl<'a> Replayer<'a> {
                     c.event_index, total
                 )));
             }
-            self.check_checkpoint(subject, i, c)?;
+            end_hash = Some(self.check_checkpoint(subject, i, c)?);
             verified += 1;
         }
-        let live = subject.state_hash();
+        // A checkpoint at the end saw this same state: reuse its hash.
+        let live = end_hash.unwrap_or_else(|| subject.state_hash());
         if live != self.rec.final_hash {
             return Err(ReplayError::HashMismatch {
                 checkpoint: self.rec.checkpoints.len() as u64,

@@ -9,14 +9,13 @@
 //!   when every node logic supports `save_state` and no taps are
 //!   installed, hash-only otherwise.
 
-use crate::hash::StateHash;
 use crate::record::{
     attack_sim_snapshot_from_bytes, attack_sim_snapshot_to_bytes, engine_checkpoint_from_bytes,
     engine_checkpoint_to_bytes,
 };
-use crate::replay::{ReplaySubject, StepInfo};
+use crate::replay::{CheckpointParts, ReplaySubject, StepInfo};
 use dui_blink::fastsim::{AttackSim, AttackSimConfig, AttackSimSnapshot};
-use dui_netsim::sim::Simulator;
+use dui_netsim::sim::{EngineCheckpoint, Simulator};
 use dui_netsim::time::SimTime;
 use dui_stats::digest::StateDigest;
 
@@ -95,6 +94,10 @@ fn snapshot_component_digests(snap: &AttackSimSnapshot) -> Vec<(&'static str, u6
     ]
 }
 
+/// The digest every fast-simulation step is folded into, label already
+/// absorbed.
+const FASTSIM_STEP_DIGEST: StateDigest = StateDigest::labeled("fastsim-step");
+
 /// The Blink flow-level fast simulation as a replay subject.
 ///
 /// Fully restorable: every checkpoint carries an
@@ -152,7 +155,7 @@ impl ReplaySubject for FastSimSubject {
         // The per-event digest folds the RNG words and packet count: any
         // injected state corruption surfaces on the very next frame
         // rather than only at the following checkpoint.
-        let mut d = StateDigest::labeled("fastsim-step");
+        let mut d = FASTSIM_STEP_DIGEST;
         d.write_u64(t.0);
         for w in self.sim.rng_state() {
             d.write_u64(w);
@@ -177,12 +180,71 @@ impl ReplaySubject for FastSimSubject {
         Some(attack_sim_snapshot_to_bytes(&self.sim.snapshot()))
     }
 
+    /// One snapshot serves both the components and the payload.
+    fn checkpoint_parts(&self) -> CheckpointParts {
+        let snap = self.sim.snapshot();
+        (
+            self.sim.state_hash(),
+            snapshot_component_digests(&snap),
+            Some(attack_sim_snapshot_to_bytes(&snap)),
+        )
+    }
+
     fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {
         let snap = attack_sim_snapshot_from_bytes(bytes)?;
         self.now = snap.schedule.first().map_or(0, |&(t, _)| t.0);
         self.sim = AttackSim::restore(&self.cfg, snap);
         Ok(())
     }
+}
+
+/// Per-subsystem digests of a restorable engine checkpoint.
+fn engine_component_digests(c: &EngineCheckpoint) -> Vec<(&'static str, u64)> {
+    let mut rng = StateDigest::labeled("rng");
+    for w in c.rng {
+        rng.write_u64(w);
+    }
+    let mut queue = StateDigest::labeled("queue");
+    queue.write_len(c.events.len());
+    for (t, e) in &c.events {
+        queue.write_u64(t.0);
+        e.state_digest(&mut queue);
+    }
+    let mut links = StateDigest::labeled("links");
+    links.write_len(c.links.len());
+    for l in &c.links {
+        links.write_bool(l.up);
+        for d in [&l.ab, &l.ba] {
+            links.write_len(d.queue.len());
+            for p in &d.queue {
+                p.state_digest(&mut links);
+            }
+            match &d.in_flight {
+                None => links.write_u8(0),
+                Some(p) => {
+                    links.write_u8(1);
+                    p.state_digest(&mut links);
+                }
+            }
+        }
+    }
+    let mut nodes = StateDigest::labeled("nodes");
+    nodes.write_len(c.logics.len());
+    for logic in &c.logics {
+        match logic {
+            None => nodes.write_u8(0),
+            Some(b) => {
+                nodes.write_u8(1);
+                nodes.write_bytes(b);
+            }
+        }
+    }
+    vec![
+        ("rng", rng.finish()),
+        ("queue", queue.finish()),
+        ("links", links.finish()),
+        ("nodes", nodes.finish()),
+    ]
 }
 
 /// The packet-level discrete-event engine, run until a fixed end time,
@@ -264,54 +326,8 @@ impl ReplaySubject for SimulatorSubject {
         // monolithic hash (divergence is then pinned by the event
         // stream, which is exact anyway).
         match self.sim.checkpoint() {
-            Ok(c) => {
-                let mut rng = StateDigest::labeled("rng");
-                for w in c.rng {
-                    rng.write_u64(w);
-                }
-                let mut queue = StateDigest::labeled("queue");
-                queue.write_len(c.events.len());
-                for (t, e) in &c.events {
-                    queue.write_u64(t.0);
-                    e.state_digest(&mut queue);
-                }
-                let mut links = StateDigest::labeled("links");
-                links.write_len(c.links.len());
-                for l in &c.links {
-                    links.write_bool(l.up);
-                    for d in [&l.ab, &l.ba] {
-                        links.write_len(d.queue.len());
-                        for p in &d.queue {
-                            p.state_digest(&mut links);
-                        }
-                        match &d.in_flight {
-                            None => links.write_u8(0),
-                            Some(p) => {
-                                links.write_u8(1);
-                                p.state_digest(&mut links);
-                            }
-                        }
-                    }
-                }
-                let mut nodes = StateDigest::labeled("nodes");
-                nodes.write_len(c.logics.len());
-                for logic in &c.logics {
-                    match logic {
-                        None => nodes.write_u8(0),
-                        Some(b) => {
-                            nodes.write_u8(1);
-                            nodes.write_bytes(b);
-                        }
-                    }
-                }
-                vec![
-                    ("rng", rng.finish()),
-                    ("queue", queue.finish()),
-                    ("links", links.finish()),
-                    ("nodes", nodes.finish()),
-                ]
-            }
-            Err(_) => vec![("engine", StateHash::state_hash(&self.sim))],
+            Ok(c) => engine_component_digests(&c),
+            Err(_) => vec![("engine", self.sim.state_hash())],
         }
     }
 
@@ -320,6 +336,23 @@ impl ReplaySubject for SimulatorSubject {
             .checkpoint()
             .ok()
             .map(|c| engine_checkpoint_to_bytes(&c))
+    }
+
+    /// One `checkpoint()` attempt and one full state hash per call: a
+    /// restorable engine's checkpoint carries its hash, and a hash-only
+    /// engine's hash doubles as its single `"engine"` component.
+    fn checkpoint_parts(&self) -> CheckpointParts {
+        match self.sim.checkpoint() {
+            Ok(c) => (
+                c.state_hash,
+                engine_component_digests(&c),
+                Some(engine_checkpoint_to_bytes(&c)),
+            ),
+            Err(_) => {
+                let h = self.sim.state_hash();
+                (h, vec![("engine", h)], None)
+            }
+        }
     }
 
     fn load_checkpoint(&mut self, bytes: &[u8]) -> Result<(), String> {

@@ -11,7 +11,7 @@
 /// Used for seeding and for cheap stateless hashing (e.g. the Blink flow
 /// selector hashes 5-tuples with it).
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub const fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -21,14 +21,14 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 
 /// Hash a 64-bit value with one splitmix64 step (stateless convenience).
 #[inline]
-pub fn hash64(x: u64) -> u64 {
+pub const fn hash64(x: u64) -> u64 {
     let mut s = x;
     splitmix64(&mut s)
 }
 
 /// Mix two 64-bit values into one (order-sensitive).
 #[inline]
-pub fn mix64(a: u64, b: u64) -> u64 {
+pub const fn mix64(a: u64, b: u64) -> u64 {
     hash64(a ^ hash64(b).rotate_left(17))
 }
 

@@ -3,8 +3,8 @@
 //! `crates/bench/perf/`, which is frozen), `src/`, `tests/`, `scripts/`
 //! or `docs/` may mention
 //!
-//! * the domain-parallel engine's thread-count option or its deleted
-//!   chapter;
+//! * the domain-parallel engine's thread-count option, its deleted
+//!   chapter and its deleted equivalence test;
 //! * the second copies of the §5 risk signals: the batch supervisor
 //!   layer beside the `dui-defense::streaming` windows, supervisord's
 //!   per-signal config, the unused input-quality helpers and the
@@ -22,6 +22,7 @@ fn needles() -> Vec<String> {
         format!("--{sim}-threads"),
         format!("set_{sim}_threads"),
         format!("parallel-{}.md", "domains"),
+        format!("parallel_{}", "equivalence"),
         format!("Snapshot{sup}"),
         format!("Threshold{sup}"),
         format!("Streaming{sup}"),
