@@ -1,6 +1,7 @@
 //! Golden-trace fixtures: the checkpoint hash sequences of the small
-//! recordable stages, plus the `supervisord` stage's verdict log, pinned
-//! as text files under `tests/golden/`.
+//! recordable stages, the `supervisord` stage's verdict log, and the
+//! outcome of a short attacked PCC run, pinned as text files under
+//! `tests/golden/`.
 //!
 //! This is the cross-crate determinism gate: the subject builders live
 //! in `dui-bench`, the recorder and state hashing in `dui-replay`, and
@@ -13,6 +14,8 @@
 //! GOLDEN_BLESS=1 cargo test --test golden_traces
 //! ```
 
+use dui::netsim::time::{SimDuration, SimTime};
+use dui::scenario::{PccScenario, PccScenarioConfig};
 use dui_bench::recordings::build_subject;
 use dui_bench::stages::{supervisord_stage, SupervisordOpts};
 use dui_replay::{Recorder, Recording};
@@ -78,6 +81,37 @@ fn verdict_log_trace() -> String {
     )
 }
 
+/// Run a short C6-shaped attack — 8 PCC flows, each behind an equalizer
+/// tap pinning it to 3 Mbps with a coherent ±50 % sway — and render the
+/// final engine state hash with the delivered and tap-dropped counts.
+///
+/// The recordable `pcc-small` stage runs unattacked (a tap refuses
+/// checkpoints), so this is the pin on the tap's drop decisions. The
+/// taps arm after 10 s; the run ends at 14 s so two full sway periods
+/// are attacked.
+fn attacked_pcc_trace() -> String {
+    let cfg = PccScenarioConfig {
+        flows: 8,
+        attacked: true,
+        pin_to: Some(3.0 * 125_000.0),
+        sway: Some((0.5, SimDuration::from_secs(2))),
+        seed: 1,
+        ..Default::default()
+    };
+    let end = SimTime::from_secs(14);
+    let mut sc = PccScenario::build(&cfg);
+    sc.sim.run_until(end);
+    let snap = sc.sim.metrics_snapshot();
+    format!(
+        "# pcc attacked flows=8 pin=3Mbps sway=0.5/2s seed=1 end={}\n\
+         final {:016x}\ndelivered {}\ndrop.tap {}\n",
+        end.0,
+        sc.sim.state_hash(),
+        snap.counter("netsim.delivered"),
+        snap.counter("netsim.drop.tap")
+    )
+}
+
 fn check(stage: &str, file: &str, every: u64) {
     check_fixture(stage, file, record_trace(stage, every));
 }
@@ -125,4 +159,9 @@ fn pcc_golden_trace() {
 #[test]
 fn supervisord_verdict_golden_log() {
     check_fixture("supervisord", "supervisord_verdicts.hashes", verdict_log_trace());
+}
+
+#[test]
+fn pcc_attacked_golden_outcome() {
+    check_fixture("pcc-attacked", "pcc_attacked.hashes", attacked_pcc_trace());
 }
