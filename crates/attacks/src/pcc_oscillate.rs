@@ -33,6 +33,8 @@ pub struct PccEqualizerTap {
     utility: UtilityParams,
     /// Recent packet (time, size) observations for instantaneous rate.
     window: VecDeque<(SimTime, u32)>,
+    /// Sum of the sizes in `window`.
+    window_bytes: u64,
     /// Rate-estimation window length (should be ≲ one monitor interval).
     window_len: SimDuration,
     /// Rolling samples of the short-window rate; the baseline estimate is
@@ -40,6 +42,9 @@ pub struct PccEqualizerTap {
     /// symmetric around the base rate) and self-centering as the victim
     /// drifts.
     rate_samples: VecDeque<(SimTime, f64)>,
+    /// The rates of `rate_samples`, kept sorted by `f64::total_cmp` so
+    /// the median is an index.
+    sorted_rates: Vec<f64>,
     /// Span of the rolling median.
     median_span: SimDuration,
     /// Observation period: the tap watches silently for this long (letting
@@ -90,8 +95,10 @@ impl PccEqualizerTap {
             key,
             utility: UtilityParams::default(),
             window: VecDeque::new(),
+            window_bytes: 0,
             window_len,
             rate_samples: VecDeque::new(),
+            sorted_rates: Vec::new(),
             median_span: SimDuration::from_millis(600),
             arm_after,
             first_seen: None,
@@ -110,12 +117,14 @@ impl PccEqualizerTap {
     /// Current baseline rate estimate (bytes/s): the rolling median of
     /// short-window rates.
     pub fn baseline(&self) -> f64 {
-        if self.rate_samples.is_empty() {
-            return 0.0;
-        }
-        let mut v: Vec<f64> = self.rate_samples.iter().map(|&(_, r)| r).collect();
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
+        let v = &self.sorted_rates;
+        v.get(v.len() / 2).copied().unwrap_or(0.0)
+    }
+
+    /// Index of the first sorted rate not below `rate`; under
+    /// `total_cmp`, an equal rate there is bit-identical to `rate`.
+    fn rank(&self, rate: f64) -> usize {
+        self.sorted_rates.partition_point(|r| r.total_cmp(&rate).is_lt())
     }
 
     fn record_rate_sample(&mut self, now: SimTime, rate: f64) {
@@ -126,9 +135,13 @@ impl PccEqualizerTap {
             }
         }
         self.rate_samples.push_back((now, rate));
-        while let Some(&(t, _)) = self.rate_samples.front() {
+        let i = self.rank(rate);
+        self.sorted_rates.insert(i, rate);
+        while let Some(&(t, old)) = self.rate_samples.front() {
             if now.since(t) > self.median_span {
                 self.rate_samples.pop_front();
+                let i = self.rank(old);
+                self.sorted_rates.remove(i);
             } else {
                 break;
             }
@@ -161,8 +174,7 @@ impl PccEqualizerTap {
         if span <= 0.0 {
             return 0.0;
         }
-        let bytes: u64 = self.window.iter().map(|&(_, s)| s as u64).sum();
-        (bytes - first_size as u64) as f64 / span
+        (self.window_bytes - first_size as u64) as f64 / span
     }
 
     /// Drop probability for a packet observed at instantaneous `rate`.
@@ -281,9 +293,11 @@ impl LinkTap for PccEqualizerTap {
             }
         }
         self.window.push_back((now, pkt.size));
-        while let Some(&(t0, _)) = self.window.front() {
+        self.window_bytes += pkt.size as u64;
+        while let Some(&(t0, size)) = self.window.front() {
             if now.since(t0) > self.window_len {
                 self.window.pop_front();
+                self.window_bytes -= size as u64;
             } else {
                 break;
             }
@@ -386,5 +400,51 @@ mod tests {
         let p = tap.equalizing_drop(262_500.0);
         // Somewhere between 0 and ~2*eps_max + knee slack.
         assert!(p > 0.0 && p < 0.12, "p = {p}");
+    }
+
+    dui_stats::prop_check! {
+        fn incremental_median_and_window_sum_match_a_fresh_pass(g) {
+            // Arbitrary packet timings and sizes, in phases: steady
+            // streams (equal gaps, so equal rates recur, long enough to
+            // evict samples one by one), jittered streams, bursts under
+            // the 5 ms sampling gap (same-instant arrivals included), and
+            // silences longer than the median span. After every packet
+            // the incremental statistics must equal a fresh sort and a
+            // fresh sum of the samples they summarize.
+            let arm = SimDuration::from_millis(g.u64(0..2_000));
+            let window = SimDuration::from_millis(25);
+            let mut tap = PccEqualizerTap::with_arm_delay(key(), window, arm, g.any_u64());
+            if g.bool() {
+                tap.pin_to = Some(g.f64(1e5..1e7));
+            }
+            let (mut t, mut payload) = (0u64, 1000u32);
+            for _ in 0..g.usize(1..8) {
+                let kind = g.u8(0..4);
+                let steady_gap = g.u64(1_000_000..10_000_000);
+                let n = if kind == 3 { 1 } else { g.usize(1..300) };
+                for _ in 0..n {
+                    t += match kind {
+                        0 => steady_gap,
+                        1 => g.u64(0..20_000_000),
+                        2 => g.u64(0..100_000),
+                        _ => g.u64(600_000_000..1_500_000_000),
+                    };
+                    if g.u8(0..8) == 0 {
+                        payload = g.u32(1..1460);
+                    }
+                    let mut p = Packet::tcp(key(), 1, 0, TcpFlags::default(), payload);
+                    tap.intercept(SimTime(t), Dir::AtoB, &mut p, &mut Vec::new());
+
+                    let mut v: Vec<f64> = tap.rate_samples.iter().map(|&(_, r)| r).collect();
+                    v.sort_by(f64::total_cmp);
+                    let want = if v.is_empty() { 0.0 } else { v[v.len() / 2] };
+                    dui_stats::prop_assert_eq!(tap.baseline().to_bits(), want.to_bits());
+                    let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    dui_stats::prop_assert_eq!(bits(&tap.sorted_rates), bits(&v));
+                    let sum: u64 = tap.window.iter().map(|&(_, s)| s as u64).sum();
+                    dui_stats::prop_assert_eq!(tap.window_bytes, sum);
+                }
+            }
+        }
     }
 }

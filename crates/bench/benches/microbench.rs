@@ -106,6 +106,51 @@ fn bench_queue_impls(s: &mut Suite) {
         wheel.pop()
     });
 
+    // Cascade-heavy steady state shaped like the C4 Blink takeover: 56k
+    // pending timers whose delays spread log-uniformly from 1 ms to 1 s,
+    // so most entries wait in levels 1-2 and cascade before they pop.
+    // One pop and one re-schedule per iteration.
+    const SPREAD: u64 = 56_000;
+    fn spread_delay(x: &mut u64) -> u64 {
+        *x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let base = 1_000_000u64 << ((*x >> 32) % 10); // 1 ms .. 512 ms
+        base + (*x >> 8) % base
+    }
+    let mut heap: BaselineHeapQueue<u64> = BaselineHeapQueue::new();
+    let mut x = 1u64;
+    for i in 0..SPREAD {
+        heap.schedule(spread_delay(&mut x), i);
+    }
+    s.bench("event_queue_spread_heap_baseline", move || {
+        let (now, v) = heap.pop().expect("steady-state queue is never empty");
+        heap.schedule(now + spread_delay(&mut x), v);
+        now
+    });
+    let mut wheel: TimerWheel<u64> = TimerWheel::new();
+    let mut x = 1u64;
+    for i in 0..SPREAD {
+        wheel.schedule(spread_delay(&mut x), i);
+    }
+    s.bench("event_queue_spread_timer_wheel", move || {
+        let (now, v) = wheel.pop().expect("steady-state queue is never empty");
+        wheel.schedule(now + spread_delay(&mut x), v);
+        now
+    });
+    // The pop-order walk a state hash makes over that shape, after
+    // enough churn that storage order no longer follows time order.
+    let mut wheel: TimerWheel<u64> = TimerWheel::new();
+    let mut x = 1u64;
+    for i in 0..SPREAD {
+        wheel.schedule(spread_delay(&mut x), i);
+    }
+    for _ in 0..4 * SPREAD {
+        let (now, v) = wheel.pop().expect("steady-state queue is never empty");
+        wheel.schedule(now + spread_delay(&mut x), v);
+    }
+    s.bench("event_queue_spread_in_order", move || wheel.in_order().len());
+
     // Packet transport: move the ~88-byte body through the pending queue
     // (pre-arena behavior) vs. park it in the slab once and move an
     // 8-byte handle.

@@ -36,14 +36,22 @@
 //! `(time, seq)` sort inside the slot still yields them in exactly the
 //! order the heap would.
 //!
-//! Per-slot entry lists are `VecDeque`s sorted *descending* by
-//! `(time, seq)` so the minimum pops from the back in `O(1)`. The common
-//! schedule patterns — same-tick FIFO bursts (monotone `seq`) and clamped
-//! stragglers — extend the deque at an end without disturbing the order;
-//! anything else marks the slot dirty and it is re-sorted on first pop.
+//! All entries living in the wheel's slots share one slab: a `Vec` of
+//! nodes, each an entry plus the index of the next node in its slot, with
+//! freed nodes threaded onto a free list for reuse. The slab grows to the
+//! peak number of entries ever in the slots at once and never shrinks, so
+//! steady-state scheduling allocates nothing. Each slot is a small `Copy`
+//! header over an intrusive list kept ascending by `(time, seq)` from
+//! `head`, caching the list's length and its minimum and last keys. The
+//! common schedule patterns — same-tick FIFO bursts (monotone `seq`) and
+//! clamped stragglers — append at the tail or prepend at the head without
+//! disturbing the order; anything else appends and marks the slot
+//! unsorted, and the slot is sorted on its first pop. The cached minimum
+//! is exact either way, so reading a slot's earliest time never scans it,
+//! and a cascade relinks nodes into lower slots without copying a payload.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// log2 of the tick quantum in nanoseconds (tick = `time >> TICK_SHIFT`).
 const TICK_SHIFT: u32 = 10;
@@ -53,9 +61,11 @@ const SLOT_BITS: u32 = 8;
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Wheel levels; ticks beyond `2^(LEVELS*8)` defer to the overflow heap.
 const LEVELS: usize = 4;
+/// The null node index: end of a slot's list or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// One pending entry, ordered by `(time, seq)`.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Entry<T> {
     time: u64,
     seq: u64,
@@ -89,81 +99,52 @@ impl<T> Ord for HeapEntry<T> {
     }
 }
 
-/// One wheel slot: entries kept descending by `(time, seq)` (min at the
-/// back) unless `sorted` is false, in which case the next pop re-sorts.
-#[derive(Debug)]
-struct Slot<T> {
-    entries: VecDeque<Entry<T>>,
+/// One slab node: an entry and the next node of its slot's list (or of
+/// the free list, once freed).
+#[derive(Debug, Clone, Copy)]
+struct Node<T> {
+    entry: Entry<T>,
+    next: u32,
+}
+
+/// One wheel slot: the header of an intrusive list of `len` slab nodes,
+/// ascending by `(time, seq)` from `head` unless `sorted` is false, in
+/// which case the next pop sorts it. `min` is the exact minimum key
+/// either way; `last` is the key at `tail`.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
+    len: u32,
     sorted: bool,
+    min: (u64, u64),
+    last: (u64, u64),
 }
 
-impl<T> Default for Slot<T> {
-    fn default() -> Self {
-        Slot {
-            entries: VecDeque::new(),
-            sorted: true,
-        }
-    }
+impl Slot {
+    const EMPTY: Slot = Slot {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+        sorted: true,
+        min: (0, 0),
+        last: (0, 0),
+    };
 }
 
-impl<T> Slot<T> {
-    fn push(&mut self, e: Entry<T>) {
-        if self.entries.is_empty() {
-            self.entries.push_back(e);
-            self.sorted = true;
-            return;
-        }
-        if self.sorted {
-            // Descending order: front is the max, back is the min.
-            // lint: allow(panic): guarded by the is_empty early return above
-            if e.key() >= self.entries.front().expect("non-empty").key() {
-                self.entries.push_front(e);
-                return;
-            }
-            // lint: allow(panic): guarded by the is_empty early return above
-            if e.key() <= self.entries.back().expect("non-empty").key() {
-                self.entries.push_back(e);
-                return;
-            }
-            self.sorted = false;
-        }
-        self.entries.push_back(e);
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.entries
-                .make_contiguous()
-                .sort_unstable_by(|a, b| b.key().cmp(&a.key()));
-            self.sorted = true;
-        }
-    }
-
-    /// Key of the minimum entry without mutating (linear when dirty).
-    fn peek_min_key(&self) -> Option<(u64, u64)> {
-        if self.sorted {
-            self.entries.back().map(|e| e.key())
-        } else {
-            self.entries.iter().map(|e| e.key()).min()
-        }
-    }
-}
-
-/// One level: 256 slots plus a 256-bit occupancy bitmap for find-first-set
-/// scans.
+/// One level: 256 slot headers plus a 256-bit occupancy bitmap for
+/// find-first-set scans.
 #[derive(Debug)]
-struct Level<T> {
-    slots: Vec<Slot<T>>,
+struct Level {
+    slots: [Slot; SLOTS],
     occupied: [u64; SLOTS / 64],
 }
 
-impl<T> Level<T> {
-    fn new() -> Self {
-        Level {
-            slots: (0..SLOTS).map(|_| Slot::default()).collect(),
-            occupied: [0; SLOTS / 64],
-        }
-    }
+impl Level {
+    const EMPTY: Level = Level {
+        slots: [Slot::EMPTY; SLOTS],
+        occupied: [0; SLOTS / 64],
+    };
 
     fn mark(&mut self, i: usize) {
         self.occupied[i / 64] |= 1 << (i % 64);
@@ -207,7 +188,13 @@ pub struct WheelStats {
 /// pop order. See the module docs for the placement and cascade rules.
 #[derive(Debug)]
 pub struct TimerWheel<T> {
-    levels: Vec<Level<T>>,
+    levels: Box<[Level; LEVELS]>,
+    /// Every entry in a slot lives here; see the module docs.
+    nodes: Vec<Node<T>>,
+    /// Head of the free-node list threaded through `Node::next`.
+    free: u32,
+    /// Reused buffer for sorting an unsorted slot.
+    scratch: Vec<(u64, u32)>,
     overflow: BinaryHeap<Reverse<HeapEntry<T>>>,
     /// Tick of the most recent pop (placement reference point).
     cursor: u64,
@@ -216,17 +203,20 @@ pub struct TimerWheel<T> {
     stats: WheelStats,
 }
 
-impl<T> Default for TimerWheel<T> {
+impl<T: Copy> Default for TimerWheel<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T> TimerWheel<T> {
+impl<T: Copy> TimerWheel<T> {
     /// Empty wheel with the cursor at time zero.
     pub fn new() -> Self {
         TimerWheel {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            levels: Box::new([Level::EMPTY; LEVELS]),
+            nodes: Vec::new(),
+            free: NIL,
+            scratch: Vec::new(),
             overflow: BinaryHeap::new(),
             cursor: 0,
             next_seq: 0,
@@ -259,12 +249,12 @@ impl<T> TimerWheel<T> {
         self.place(Entry { time, seq, value });
     }
 
-    /// Place (or re-place, during cascades) one entry relative to the
-    /// current cursor.
-    fn place(&mut self, e: Entry<T>) {
+    /// Level and slot for an entry at `time` relative to the current
+    /// cursor, or `None` past the 4-level horizon.
+    fn slot_for(&self, time: u64) -> Option<(usize, usize)> {
         // Entries in the past are clamped into the cursor's slot; the
         // (time, seq) sort inside the slot restores the heap's order.
-        let tick = (e.time >> TICK_SHIFT).max(self.cursor);
+        let tick = (time >> TICK_SHIFT).max(self.cursor);
         let x = tick ^ self.cursor;
         let level = if x < 1 << SLOT_BITS {
             0
@@ -275,13 +265,120 @@ impl<T> TimerWheel<T> {
         } else if x < 1 << (4 * SLOT_BITS) {
             3
         } else {
+            return None;
+        };
+        let slot = ((tick >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
+        Some((level, slot))
+    }
+
+    /// Place one new or promoted entry relative to the current cursor,
+    /// in a slab node or, past the horizon, in the overflow heap.
+    fn place(&mut self, e: Entry<T>) {
+        let Some((level, slot)) = self.slot_for(e.time) else {
             self.stats.deferred += 1;
             self.overflow.push(Reverse(HeapEntry(e)));
             return;
         };
-        let slot = ((tick >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.levels[level].slots[slot].push(e);
-        self.levels[level].mark(slot);
+        let n = self.alloc(e);
+        self.link(level, slot, n);
+    }
+
+    /// Re-place node `n` during a cascade: relink it into its new slot.
+    /// A cascaded entry always lands at a strictly lower level, so the
+    /// overflow arm only keeps the placement rule total.
+    fn relink(&mut self, n: u32) {
+        let e = self.nodes[n as usize].entry;
+        match self.slot_for(e.time) {
+            Some((level, slot)) => self.link(level, slot, n),
+            None => {
+                self.release(n);
+                self.place(e);
+            }
+        }
+    }
+
+    /// A node holding `entry`, taken from the free list or appended.
+    fn alloc(&mut self, entry: Entry<T>) -> u32 {
+        let node = Node { entry, next: NIL };
+        if self.free != NIL {
+            let n = self.free;
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize] = node;
+            return n;
+        }
+        let n = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&n| n != NIL)
+            // lint: allow(panic): 2^32 - 1 pending entries exceed any memory
+            .expect("timer wheel slab full");
+        self.nodes.push(node);
+        n
+    }
+
+    /// Return node `n` to the free list.
+    fn release(&mut self, n: u32) {
+        self.nodes[n as usize].next = self.free;
+        self.free = n;
+    }
+
+    /// Link node `n` into slot `i` of `level`, keeping the list ascending
+    /// when the key extends either end.
+    fn link(&mut self, level: usize, i: usize, n: u32) {
+        let key = self.nodes[n as usize].entry.key();
+        self.nodes[n as usize].next = NIL;
+        let l = &mut self.levels[level];
+        let slot = &mut l.slots[i];
+        if slot.head == NIL {
+            *slot = Slot {
+                head: n,
+                tail: n,
+                len: 1,
+                sorted: true,
+                min: key,
+                last: key,
+            };
+            l.mark(i);
+            return;
+        }
+        slot.len += 1;
+        if key >= slot.last {
+            self.nodes[slot.tail as usize].next = n;
+            slot.tail = n;
+            slot.last = key;
+        } else if key <= slot.min {
+            self.nodes[n as usize].next = slot.head;
+            slot.head = n;
+            slot.min = key;
+        } else {
+            self.nodes[slot.tail as usize].next = n;
+            slot.tail = n;
+            slot.last = key;
+            slot.sorted = false;
+        }
+    }
+
+    /// Sort the list of slot `i` of `level` ascending by `(time, seq)`.
+    fn sort_slot(&mut self, level: usize, i: usize) {
+        let slot = &mut self.levels[level].slots[i];
+        let run = &mut self.scratch;
+        let mut n = slot.head;
+        while n != NIL {
+            let node = &self.nodes[n as usize];
+            run.push((node.entry.time, n));
+            n = node.next;
+        }
+        sort_run(run, &self.nodes);
+        for w in run.windows(2) {
+            self.nodes[w[0].1 as usize].next = w[1].1;
+        }
+        if let (Some(&(_, head)), Some(&(_, tail))) = (run.first(), run.last()) {
+            self.nodes[tail as usize].next = NIL;
+            slot.head = head;
+            slot.tail = tail;
+            slot.sorted = true;
+            slot.last = self.nodes[tail as usize].entry.key();
+        }
+        run.clear();
     }
 
     /// Byte `level` of the cursor (the scan base for that level).
@@ -303,20 +400,29 @@ impl<T> TimerWheel<T> {
     /// entry is due, so [`WheelStats`] after `pop_due(limit)` equal the
     /// stats after `peek_time() <= limit` then `pop()`.
     pub fn pop_due(&mut self, limit: u64) -> Option<(u64, T)> {
-        loop {
+        'scan: loop {
             // Level 0 holds exactly the current 256-tick window; its first
             // occupied slot contains the global minimum.
             if let Some(i) = self.levels[0].first_occupied_from(self.base(0)) {
-                let slot = &mut self.levels[0].slots[i];
-                slot.ensure_sorted();
-                let due = slot.entries.back().is_some_and(|e| e.time <= limit);
-                if !due {
+                let slot = self.levels[0].slots[i];
+                if slot.min.0 > limit {
                     return None;
                 }
-                let e = slot.entries.pop_back().expect("occupied bit set on empty slot"); // lint: allow(panic): occupancy bitmap invariant
-                if slot.entries.is_empty() {
-                    self.levels[0].clear(i);
+                if !slot.sorted {
+                    self.sort_slot(0, i);
                 }
+                let slot = &mut self.levels[0].slots[i];
+                let n = slot.head;
+                let Node { entry: e, next } = self.nodes[n as usize];
+                slot.head = next;
+                slot.len -= 1;
+                if next == NIL {
+                    *slot = Slot::EMPTY;
+                    self.levels[0].clear(i);
+                } else {
+                    slot.min = self.nodes[next as usize].entry.key();
+                }
+                self.release(n);
                 self.len -= 1;
                 self.cursor = self.cursor.max(e.time >> TICK_SHIFT);
                 return Some((e.time, e.value));
@@ -324,17 +430,13 @@ impl<T> TimerWheel<T> {
             // Level 0 exhausted: cascade the next occupied higher-level
             // slot into the lower levels and retry — but only if it holds
             // a due entry (it holds the global minimum).
-            let mut cascaded = false;
             for level in 1..LEVELS {
                 if let Some(j) = self.levels[level].first_occupied_from(self.base(level)) {
-                    let (min_time, _) = self.levels[level].slots[j]
-                        .peek_min_key()
-                        .expect("occupied bit set on empty slot"); // lint: allow(panic): occupancy bitmap invariant
-                    if min_time > limit {
+                    let slot = self.levels[level].slots[j];
+                    if slot.min.0 > limit {
                         return None;
                     }
-                    let entries = std::mem::take(&mut self.levels[level].slots[j].entries);
-                    self.levels[level].slots[j].sorted = true;
+                    self.levels[level].slots[j] = Slot::EMPTY;
                     self.levels[level].clear(j);
                     // Move the cursor to the start of that slot's window:
                     // keep bytes above `level`, set byte `level` to j, zero
@@ -343,16 +445,15 @@ impl<T> TimerWheel<T> {
                     self.cursor = ((self.cursor >> (w + SLOT_BITS)) << (w + SLOT_BITS))
                         | (j as u64) << w;
                     self.stats.cascades += 1;
-                    self.stats.cascaded_entries += entries.len() as u64;
-                    for e in entries {
-                        self.place(e);
+                    self.stats.cascaded_entries += u64::from(slot.len);
+                    let mut n = slot.head;
+                    while n != NIL {
+                        let next = self.nodes[n as usize].next;
+                        self.relink(n);
+                        n = next;
                     }
-                    cascaded = true;
-                    break;
+                    continue 'scan;
                 }
-            }
-            if cascaded {
-                continue;
             }
             // All wheels empty: promote the next overflow epoch, if any.
             let epoch = match self.overflow.peek() {
@@ -366,7 +467,8 @@ impl<T> TimerWheel<T> {
                 if (e.time >> TICK_SHIFT) >> (SLOT_BITS * 4) != epoch {
                     break;
                 }
-                let Reverse(HeapEntry(e)) = self.overflow.pop().expect("peeked"); // lint: allow(panic): peek above proved non-empty
+                let e = *e;
+                self.overflow.pop();
                 self.place(e);
             }
         }
@@ -376,12 +478,9 @@ impl<T> TimerWheel<T> {
     /// version of the [`TimerWheel::pop`] scan: the first occupied slot of
     /// the lowest non-empty level holds the global minimum.
     pub fn peek_time(&self) -> Option<u64> {
-        for level in 0..LEVELS {
-            if let Some(i) = self.levels[level].first_occupied_from(self.base(level)) {
-                let (time, _) = self.levels[level].slots[i]
-                    .peek_min_key()
-                    .expect("occupied bit set on empty slot"); // lint: allow(panic): occupancy bitmap invariant
-                return Some(time);
+        for (level, l) in self.levels.iter().enumerate() {
+            if let Some(i) = l.first_occupied_from(self.base(level)) {
+                return Some(l.slots[i].min.0);
             }
         }
         self.overflow.peek().map(|Reverse(HeapEntry(e))| e.time)
@@ -395,39 +494,67 @@ impl<T> TimerWheel<T> {
     /// sort is needed: every level-`L` entry is later than every
     /// level-`(L-1)` entry, a level's occupied slots are in tick order
     /// from the cursor upward, and overflow entries come after all of
-    /// them. Each slot is read from the back (slots are kept descending);
+    /// them. Each slot is read from its head (lists are kept ascending);
     /// a slot marked unsorted is sorted on its own, as is the overflow
     /// heap. Walks the occupancy bitmaps, so the cost scales with pending
     /// entries, not with the 1024 slots of the wheel.
+    ///
+    /// The slots are laid out back to back in that order and all their
+    /// lists are walked at once, one node per list per round: the loads
+    /// of a round are independent, so their cache misses overlap instead
+    /// of queueing behind each other as a list-at-a-time walk would.
     pub fn in_order(&self) -> Vec<(u64, &T)> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut unsorted: Vec<&Entry<T>> = Vec::new();
-        for l in &self.levels {
+        let mut run = vec![(0, NIL); self.len - self.overflow.len()];
+        let mut cursors: Vec<(u32, usize)> = Vec::new();
+        let mut unsorted = Vec::new();
+        let mut at = 0;
+        for l in self.levels.iter() {
             for (w, &bits) in l.occupied.iter().enumerate() {
                 let mut b = bits;
                 while b != 0 {
-                    let i = b.trailing_zeros() as usize;
+                    let slot = &l.slots[(w << 6) | b.trailing_zeros() as usize];
                     b &= b - 1;
-                    let slot = &l.slots[(w << 6) | i];
-                    if slot.sorted {
-                        out.extend(slot.entries.iter().rev().map(|e| (e.time, &e.value)));
-                    } else {
-                        unsorted.extend(slot.entries.iter());
-                        drain_sorted(&mut out, &mut unsorted);
+                    cursors.push((slot.head, at));
+                    let end = at + slot.len as usize;
+                    if !slot.sorted {
+                        unsorted.push(at..end);
                     }
+                    at = end;
                 }
             }
         }
-        unsorted.extend(self.overflow.iter().map(|Reverse(HeapEntry(e))| e));
-        drain_sorted(&mut out, &mut unsorted);
+        while !cursors.is_empty() {
+            cursors.retain_mut(|(n, at)| {
+                let node = &self.nodes[*n as usize];
+                run[*at] = (node.entry.time, *n);
+                *at += 1;
+                *n = node.next;
+                *n != NIL
+            });
+        }
+        for r in unsorted {
+            sort_run(&mut run[r], &self.nodes);
+        }
+        let mut overflow: Vec<&Entry<T>> =
+            self.overflow.iter().map(|Reverse(HeapEntry(e))| e).collect();
+        overflow.sort_unstable_by_key(|e| e.key());
+        let mut out = Vec::with_capacity(self.len);
+        out.extend(run.iter().map(|&(time, n)| (time, &self.nodes[n as usize].entry.value)));
+        out.extend(overflow.into_iter().map(|e| (e.time, &e.value)));
         out
     }
 }
 
-/// Sort `run` by `(time, seq)` and move it onto the end of `out`.
-fn drain_sorted<'a, T>(out: &mut Vec<(u64, &'a T)>, run: &mut Vec<&'a Entry<T>>) {
-    run.sort_unstable_by_key(|e| e.key());
-    out.extend(run.drain(..).map(|e| (e.time, &e.value)));
+/// Sort one slot's `(time, node)` pairs by `(time, seq)`: by time, then
+/// each run of equal times by the nodes' sequence numbers. Sorting
+/// 16-byte pairs on one word costs less than carrying the full key.
+fn sort_run<T>(run: &mut [(u64, u32)], nodes: &[Node<T>]) {
+    run.sort_unstable_by_key(|&(time, _)| time);
+    for ties in run.chunk_by_mut(|a, b| a.0 == b.0) {
+        if ties.len() > 1 {
+            ties.sort_unstable_by_key(|&(_, n)| nodes[n as usize].entry.seq);
+        }
+    }
 }
 
 /// The binary-heap event queue the wheel replaced, kept as the reference
@@ -612,15 +739,93 @@ mod tests {
 
     #[test]
     fn dense_same_tick_bursts_stay_cheap() {
-        // Same-tick FIFO bursts take the push_front fast path; verify the
+        // Same-tick FIFO bursts take the append fast path; verify the
         // slot never goes unsorted (O(1) pops).
         let mut w = TimerWheel::new();
         for i in 0..10_000u64 {
             w.schedule(42, i);
         }
-        assert!(w.levels[0].slots[0].sorted, "FIFO burst must stay sorted");
+        let slot = w.levels[0].slots[0];
+        assert!(slot.sorted, "FIFO burst must stay sorted");
+        assert_eq!((slot.min, slot.last), ((42, 0), (42, 9_999)));
         for i in 0..10_000u64 {
             assert_eq!(w.pop(), Some((42, i)));
+        }
+    }
+
+    #[test]
+    fn ties_in_an_unsorted_slot_stay_fifo() {
+        // Scrambled schedules over five distinct times in one slot, at
+        // level 0 and at level 1 (cascaded before it pops): the slot goes
+        // unsorted, and its sort must break every tie by schedule order,
+        // both for the in-order walk and for pops.
+        for base in [0, 300 << TICK_SHIFT] {
+            let mut w = TimerWheel::new();
+            let mut h = BaselineHeapQueue::new();
+            for i in 0..300u64 {
+                let t = base + (i * 7_919) % 5 * 100;
+                w.schedule(t, i);
+                h.schedule(t, i);
+            }
+            let walked: Vec<(u64, u64)> = w.in_order().into_iter().map(|(t, &v)| (t, v)).collect();
+            let want: Vec<(u64, u64)> = std::iter::from_fn(|| h.pop()).collect();
+            assert_eq!(walked, want);
+            let popped: Vec<(u64, u64)> = std::iter::from_fn(|| w.pop()).collect();
+            assert_eq!(popped, want);
+        }
+    }
+
+    #[test]
+    fn cascades_relink_without_growing_the_slab() {
+        let mut w = TimerWheel::new();
+        for i in 0..1_000u64 {
+            w.schedule((300 + i % 7) << TICK_SHIFT, i);
+        }
+        assert_eq!(w.nodes.len(), 1_000);
+        assert_eq!(w.pop().map(|(t, _)| t), Some(300 << TICK_SHIFT));
+        assert_eq!(w.stats().cascaded_entries, 1_000);
+        assert_eq!(w.nodes.len(), 1_000, "a cascade moves nodes, not entries");
+    }
+
+    dui_stats::prop_check! {
+        fn slab_never_outgrows_the_peak_pending_count(g) {
+            // Arbitrary schedules (sub-tick to past the horizon, some
+            // clamped into the past) interleaved with pops: freed nodes
+            // are reused before the slab grows, so it never holds more
+            // nodes than were ever pending at once.
+            let mut w: TimerWheel<u64> = TimerWheel::new();
+            let mut clock = 0u64;
+            let mut peak = 0usize;
+            for payload in 0..g.usize(1..400) as u64 {
+                if g.u8(0..3) != 0 {
+                    let bits = 10 + 8 * g.u32(0..6);
+                    let delta = g.u64(0..1 << bits);
+                    let t = if g.u8(0..4) == 0 {
+                        clock.saturating_sub(delta)
+                    } else {
+                        clock.saturating_add(delta)
+                    };
+                    w.schedule(t, payload);
+                } else if let Some((t, _)) = w.pop() {
+                    clock = clock.max(t);
+                }
+                peak = peak.max(w.len());
+                dui_stats::prop_assert!(
+                    w.nodes.len() <= peak,
+                    "slab {} > peak pending {}",
+                    w.nodes.len(),
+                    peak
+                );
+            }
+            // Drained, every node is back on the free list.
+            while w.pop().is_some() {}
+            let mut free = 0;
+            let mut n = w.free;
+            while n != NIL {
+                free += 1;
+                n = w.nodes[n as usize].next;
+            }
+            dui_stats::prop_assert_eq!(free, w.nodes.len());
         }
     }
 }

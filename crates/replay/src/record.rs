@@ -763,7 +763,10 @@ pub fn engine_checkpoint_from_bytes(bytes: &[u8]) -> Result<EngineCheckpoint, St
     let next_pkt_id = read_varint(bytes, &mut pos)?;
     let started = read_u8(bytes, &mut pos)? != 0;
     let n_events = read_varint(bytes, &mut pos)? as usize;
-    let mut events = Vec::with_capacity(n_events.min(1 << 20));
+    // Minimum encoded size of an event: a 1-byte time, a 1-byte tag and
+    // two 1-byte fields (a timer's node and token, or a transmission's
+    // link and direction).
+    let mut events = Vec::with_capacity(bounded_capacity(n_events, 4, bytes.len() - pos));
     for _ in 0..n_events {
         let t = SimTime(read_varint(bytes, &mut pos)?);
         events.push((t, read_event(bytes, &mut pos)?));
@@ -923,7 +926,8 @@ fn read_selector_snapshot(bytes: &[u8], pos: &mut usize) -> Result<SelectorSnaps
         0 => None,
         1 => {
             let n = read_varint(bytes, pos)? as usize;
-            let mut r = Vec::with_capacity(n.min(1 << 20));
+            // One 1-byte varint per residency at least.
+            let mut r = Vec::with_capacity(bounded_capacity(n, 1, bytes.len() - *pos));
             for _ in 0..n {
                 r.push(SimDuration(read_varint(bytes, pos)?));
             }
@@ -987,7 +991,10 @@ pub fn attack_sim_snapshot_from_bytes(bytes: &[u8]) -> Result<AttackSimSnapshot,
     }
     let selector = read_selector_snapshot(bytes, &mut pos)?;
     let n_flows = read_varint(bytes, &mut pos)? as usize;
-    let mut flows = Vec::with_capacity(n_flows.min(1 << 20));
+    // Minimum encoded sizes: a flow is a 5-byte key, a 1-byte sequence
+    // number and a 1-byte option tag; a schedule entry two 1-byte
+    // varints; a series point two 8-byte floats.
+    let mut flows = Vec::with_capacity(bounded_capacity(n_flows, 7, bytes.len() - pos));
     for _ in 0..n_flows {
         flows.push(FlowState {
             key: read_flow_key(bytes, &mut pos)?,
@@ -997,14 +1004,14 @@ pub fn attack_sim_snapshot_from_bytes(bytes: &[u8]) -> Result<AttackSimSnapshot,
     }
     let sport = read_varint(bytes, &mut pos)? as u16;
     let n_sched = read_varint(bytes, &mut pos)? as usize;
-    let mut schedule = Vec::with_capacity(n_sched.min(1 << 20));
+    let mut schedule = Vec::with_capacity(bounded_capacity(n_sched, 2, bytes.len() - pos));
     for _ in 0..n_sched {
         let t = SimTime(read_varint(bytes, &mut pos)?);
         let i = read_varint(bytes, &mut pos)? as usize;
         schedule.push((t, i));
     }
     let n_series = read_varint(bytes, &mut pos)? as usize;
-    let mut series = Vec::with_capacity(n_series.min(1 << 20));
+    let mut series = Vec::with_capacity(bounded_capacity(n_series, 16, bytes.len() - pos));
     for _ in 0..n_series {
         let t = f64::from_bits(read_u64_le(bytes, &mut pos)?);
         let v = f64::from_bits(read_u64_le(bytes, &mut pos)?);
@@ -1146,6 +1153,44 @@ mod tests {
         assert!(Recording::from_bytes(&comps).is_err(), "components");
         assert_eq!(bounded_capacity(1 << 40, 10, 20), 2);
         assert_eq!(bounded_capacity(3, 10, 1_000), 3, "honest counts reserve exactly");
+    }
+
+    #[test]
+    fn forged_payload_counts_fail_without_reserving_for_them() {
+        // Each payload reader, handed a tiny buffer whose count field
+        // claims 2^40 elements, must refuse it as truncated. The same
+        // prefix with every count zero decodes, so each forged buffer is
+        // well-formed up to its count.
+        fn truncated(r: Result<impl std::fmt::Debug, String>) -> bool {
+            r.is_err_and(|e| e.contains("unexpected end of input"))
+        }
+        let forged = |prefix: &[u8]| {
+            let mut b = prefix.to_vec();
+            write_varint(&mut b, 1 << 40);
+            b
+        };
+
+        let mut engine = vec![0u8]; // now
+        engine.extend([0u8; 32]); // rng
+        engine.extend([0, 0]); // next_pkt_id, started
+        assert!(truncated(engine_checkpoint_from_bytes(&forged(&engine))), "events");
+        engine.extend([0, 0, 0, 0]); // events, links, logics, routing
+        engine.push(0); // prefixes
+        engine.extend([0u8; 8]); // state hash
+        assert!(engine_checkpoint_from_bytes(&engine).is_ok());
+
+        let mut fastsim = vec![0u8; 32]; // rng
+        fastsim.extend([0u8; 9]); // no cells, last_reset, resets, six stats
+        fastsim.push(1); // residencies present
+        assert!(truncated(attack_sim_snapshot_from_bytes(&forged(&fastsim))), "residencies");
+        fastsim.push(0); // zero residencies
+        assert!(truncated(attack_sim_snapshot_from_bytes(&forged(&fastsim))), "flows");
+        fastsim.extend([0, 0]); // flows, sport
+        assert!(truncated(attack_sim_snapshot_from_bytes(&forged(&fastsim))), "schedule");
+        fastsim.push(0); // schedule
+        assert!(truncated(attack_sim_snapshot_from_bytes(&forged(&fastsim))), "series");
+        fastsim.extend([0, 0, 0, 0, 0]); // series, next_sample, takeover, packets, done
+        assert!(attack_sim_snapshot_from_bytes(&fastsim).is_ok());
     }
 
     #[test]
