@@ -351,6 +351,25 @@ fn bench_replay(s: &mut Suite) {
             engine_checkpoint_from_bytes(&bytes).expect("decodes")
         });
     }
+    // 100k events with one- and two-byte time deltas over three kinds,
+    // about the shape of a packet-engine recording: the per-event cost
+    // of seeking through the stream, and of validating it on decode.
+    let mut rec = dui_core::replay::Recording::default();
+    let mut rng = Rng::new(11);
+    let mut time = 0;
+    for _ in 0..100_000 {
+        time += rng.next_u64() % 2_000;
+        rec.events.push(dui_core::replay::EventFrame {
+            time,
+            kind: (rng.next_u64() % 3) as u32,
+            digest: rng.next_u64(),
+        });
+    }
+    let bytes = rec.to_bytes();
+    s.bench("event_log_iter_100k", move || rec.events.iter().fold(0, |a, e| a ^ e.digest));
+    s.bench("recording_decode_100k_events", move || {
+        dui_core::replay::Recording::from_bytes(&bytes).expect("decodes")
+    });
 }
 
 fn bench_supervisord(s: &mut Suite) {

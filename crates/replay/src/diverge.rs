@@ -9,7 +9,7 @@
 //! that went bad, which turns "the CSVs differ" into "event 48 312, the
 //! RNG stream, at t=261.03s".
 
-use crate::record::Recording;
+use crate::record::{EventFrame, Recording};
 
 /// One state component whose digests disagree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,22 +86,25 @@ impl Divergence {
     }
 }
 
-fn event_tuple(rec: &Recording, i: usize) -> (u64, String, u64) {
-    let e = &rec.events[i];
+fn event_tuple(rec: &Recording, e: &EventFrame) -> (u64, String, u64) {
     (e.time, rec.name(e.kind).to_string(), e.digest)
 }
 
 /// Scan events `[from, to)` of both recordings for the first differing
-/// frame.
-fn first_event_diff(a: &Recording, b: &Recording, from: u64, to: u64) -> Option<u64> {
-    let to = to.min(a.events.len() as u64).min(b.events.len() as u64);
-    for i in from..to {
-        let (ea, eb) = (&a.events[i as usize], &b.events[i as usize]);
-        if ea.time != eb.time || ea.digest != eb.digest || a.name(ea.kind) != b.name(eb.kind) {
-            return Some(i);
-        }
-    }
-    None
+/// frame, returning its index and both frames.
+fn first_event_diff(
+    a: &Recording,
+    b: &Recording,
+    from: u64,
+    to: u64,
+) -> Option<(u64, EventFrame, EventFrame)> {
+    let frames = a.events.iter().zip(b.events.iter());
+    (from..to)
+        .zip(frames.skip(from as usize))
+        .find(|(_, (ea, eb))| {
+            ea.time != eb.time || ea.digest != eb.digest || a.name(ea.kind) != b.name(eb.kind)
+        })
+        .map(|(i, (ea, eb))| (i, ea, eb))
 }
 
 /// Compare two recordings of the same stage and report the first point
@@ -171,11 +174,12 @@ pub fn first_divergence(a: &Recording, b: &Recording) -> Option<Divergence> {
         (u64::MAX, None, Vec::new())
     };
 
-    let event_index = first_event_diff(a, b, scan_from, scan_to)
+    let first_diff = first_event_diff(a, b, scan_from, scan_to)
         // The mutation may sit between the last good checkpoint and a
         // stream end / unpaired region; fall back to a full scan of the
         // shared prefix if the window missed it.
         .or_else(|| first_event_diff(a, b, 0, u64::MAX));
+    let event_index = first_diff.map(|(i, _, _)| i);
 
     let diverged = event_index.is_some()
         || checkpoint_index.is_some()
@@ -187,8 +191,8 @@ pub fn first_divergence(a: &Recording, b: &Recording) -> Option<Divergence> {
 
     Some(Divergence {
         event_index,
-        a_event: event_index.map(|i| event_tuple(a, i as usize)),
-        b_event: event_index.map(|i| event_tuple(b, i as usize)),
+        a_event: first_diff.map(|(_, ea, _)| event_tuple(a, &ea)),
+        b_event: first_diff.map(|(_, _, eb)| event_tuple(b, &eb)),
         checkpoint_index,
         components,
         lengths,
@@ -253,7 +257,7 @@ pub fn first_line_divergence(a: &str, b: &str) -> Option<LineDivergence> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{CheckpointFrame, EventFrame, Recording};
+    use crate::record::CheckpointFrame;
 
     /// Build a synthetic recording: `n` events with digests from `f`,
     /// checkpoints every `every` events with state hash = xor of digests

@@ -35,6 +35,6 @@ pub mod subjects;
 
 pub use diverge::{first_divergence, first_line_divergence, ComponentDiff, Divergence, LineDivergence};
 pub use hash::StateHash;
-pub use record::{CheckpointFrame, EventFrame, Recorder, Recording};
+pub use record::{CheckpointFrame, EventFrame, EventLog, Recorder, Recording};
 pub use replay::{CheckpointParts, ReplayError, ReplayReport, ReplaySubject, Replayer, StepInfo};
 pub use subjects::{FastSimSubject, SimulatorSubject};

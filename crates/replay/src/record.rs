@@ -27,6 +27,10 @@
 //!              payload flag (0/1) + varint len + bytes   (restorable state)
 //! final      8-byte LE final state hash
 //! ```
+//!
+//! In memory, a [`Recording`] holds its event section exactly as laid
+//! out above (an [`EventLog`]), so encoding copies it and decoding
+//! validates it once and copies it.
 
 use crate::replay::ReplaySubject;
 use dui_blink::fastsim::{AttackSimSnapshot, FlowState};
@@ -37,6 +41,7 @@ use dui_netsim::packet::{Addr, FlowKey, Header, Packet, Prefix, Proto, TcpFlags}
 use dui_netsim::sim::{DirCheckpoint, EngineCheckpoint, LinkCheckpoint};
 use dui_netsim::time::{SimDuration, SimTime};
 use dui_netsim::topology::{LinkId, NodeId};
+use std::io::Write;
 
 /// Recording format magic bytes.
 pub const MAGIC: [u8; 4] = *b"DUIR";
@@ -60,28 +65,78 @@ pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Read an LEB128 varint at `*pos`, advancing it.
-pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *bytes
-            .get(*pos)
-            .ok_or_else(|| "varint: unexpected end of input".to_string())?;
-        *pos += 1;
-        if shift >= 64 {
-            return Err("varint: overflows u64".into());
+/// Why a varint or an event frame failed to decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WireError {
+    /// The input ended inside the item.
+    Truncated,
+    /// The varint's value does not fit in a `u64`.
+    Overflow,
+    /// The varint has a redundant high zero byte: a value has exactly
+    /// one encoding, so an overlong one is refused.
+    Overlong,
+    /// An event's kind index does not fit in a `u32`.
+    KindOverflow,
+    /// An event's absolute time does not fit in a `u64`.
+    TimeOverflow,
+}
+
+impl std::fmt::Display for WireError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            WireError::Truncated => "unexpected end of input",
+            WireError::Overflow => "overflows u64",
+            WireError::Overlong => "overlong encoding",
+            WireError::KindOverflow => "kind overflows u32",
+            WireError::TimeOverflow => "time overflows",
+        })
+    }
+}
+
+/// Take an LEB128 varint off the front of `bytes`. One- and two-byte
+/// values, nearly all event deltas and kinds, take the first branches.
+#[inline]
+fn take_varint(bytes: &mut &[u8]) -> Result<u64, WireError> {
+    match **bytes {
+        [b0, ref rest @ ..] if b0 < 0x80 => {
+            *bytes = rest;
+            Ok(b0 as u64)
         }
+        [b0, b1, ref rest @ ..] if b1 < 0x80 && b1 != 0 => {
+            *bytes = rest;
+            Ok((b0 & 0x7f) as u64 | (b1 as u64) << 7)
+        }
+        _ => take_long_varint(bytes),
+    }
+}
+
+fn take_long_varint(bytes: &mut &[u8]) -> Result<u64, WireError> {
+    let mut v = 0u64;
+    for (i, &b) in bytes.iter().enumerate() {
+        let shift = 7 * i as u32;
         let payload = (b & 0x7f) as u64;
-        if shift == 63 && payload > 1 {
-            return Err("varint: overflows u64".into());
+        if shift >= 64 || (shift == 63 && payload > 1) {
+            return Err(WireError::Overflow);
         }
         v |= payload << shift;
         if b & 0x80 == 0 {
+            if b == 0 && i > 0 {
+                return Err(WireError::Overlong);
+            }
+            *bytes = &bytes[i + 1..];
             return Ok(v);
         }
-        shift += 7;
     }
+    Err(WireError::Truncated)
+}
+
+/// Read an LEB128 varint at `*pos`, advancing it. Only the shortest
+/// encoding of a value, the one [`write_varint`] writes, is accepted.
+pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
+    let mut rest = bytes.get(*pos..).unwrap_or_default();
+    let v = take_varint(&mut rest).map_err(|e| format!("varint: {e}"))?;
+    *pos = bytes.len() - rest.len();
+    Ok(v)
 }
 
 fn write_u64_le(buf: &mut Vec<u8>, v: u64) {
@@ -168,6 +223,134 @@ pub struct EventFrame {
     pub digest: u64,
 }
 
+/// A recording's event stream, held as its wire encoding: per event a
+/// varint delta-time (ns since the previous event, or since 0), a varint
+/// kind and an 8-byte LE digest, as in the events section of the
+/// [layout](self). That is about 10.5 bytes per packet-engine event,
+/// against the 24 of an [`EventFrame`].
+///
+/// Every log holds the one canonical encoding of its frames: [`push`]
+/// writes it and decoding refuses anything else, so two logs are equal
+/// exactly when they yield the same frames. Frames are reached by
+/// [`iter`] only; reaching event `i` decodes the `i` before it (about
+/// 7 ns each).
+///
+/// [`push`]: EventLog::push
+/// [`iter`]: EventLog::iter
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct EventLog {
+    bytes: Vec<u8>,
+    len: usize,
+    last_time: u64,
+}
+
+impl EventLog {
+    /// Append one frame.
+    ///
+    /// # Panics
+    ///
+    /// If `frame.time` is earlier than the previous frame's: the wire
+    /// format stores time as a non-negative delta, so such a stream has
+    /// no encoding. A [`ReplaySubject`]'s clock never runs backwards.
+    pub fn push(&mut self, frame: EventFrame) {
+        let Some(dt) = frame.time.checked_sub(self.last_time) else {
+            // lint: allow(panic): a subject whose clock runs backwards breaks the ReplaySubject contract
+            panic!(
+                "event {} at {} ns precedes the previous event at {} ns",
+                self.len, frame.time, self.last_time
+            );
+        };
+        write_varint(&mut self.bytes, dt);
+        write_varint(&mut self.bytes, frame.kind as u64);
+        write_u64_le(&mut self.bytes, frame.digest);
+        self.last_time = frame.time;
+        self.len += 1;
+    }
+
+    /// Number of frames.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the log holds no frame.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The frames, in order.
+    pub fn iter(&self) -> EventIter<'_> {
+        EventIter {
+            rest: &self.bytes,
+            time: 0,
+            left: self.len,
+        }
+    }
+
+    /// Decode `count` frames off the front of `bytes`, checking each.
+    fn decode(bytes: &[u8], count: usize) -> Result<EventLog, String> {
+        let mut rest = bytes;
+        let mut time = 0u64;
+        for i in 0..count {
+            time = next_frame(&mut rest, time)
+                .map_err(|e| format!("event {i}: {e}"))?
+                .time;
+        }
+        Ok(EventLog {
+            bytes: bytes[..bytes.len() - rest.len()].to_vec(),
+            len: count,
+            last_time: time,
+        })
+    }
+}
+
+/// Take one frame off the front of `bytes`, `prev` being the previous
+/// frame's time. The one event decoder: [`EventLog`] validates with it
+/// and iterates with it.
+#[inline]
+fn next_frame(bytes: &mut &[u8], prev: u64) -> Result<EventFrame, WireError> {
+    let dt = take_varint(bytes)?;
+    let time = prev.checked_add(dt).ok_or(WireError::TimeOverflow)?;
+    let kind = u32::try_from(take_varint(bytes)?).map_err(|_| WireError::KindOverflow)?;
+    let (digest, rest) = bytes.split_first_chunk::<8>().ok_or(WireError::Truncated)?;
+    *bytes = rest;
+    Ok(EventFrame {
+        time,
+        kind,
+        digest: u64::from_le_bytes(*digest),
+    })
+}
+
+/// The frames of an [`EventLog`], in order.
+#[derive(Debug, Clone)]
+pub struct EventIter<'a> {
+    rest: &'a [u8],
+    time: u64,
+    left: usize,
+}
+
+impl Iterator for EventIter<'_> {
+    type Item = EventFrame;
+
+    #[inline]
+    fn next(&mut self) -> Option<EventFrame> {
+        if self.left == 0 {
+            return None;
+        }
+        // A log's bytes were checked when they were pushed or decoded,
+        // so this never fails.
+        let frame = next_frame(&mut self.rest, self.time).ok()?;
+        self.time = frame.time;
+        self.left -= 1;
+        Some(frame)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for EventIter<'_> {}
+
 /// A periodic state checkpoint taken between events.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointFrame {
@@ -195,7 +378,7 @@ pub struct Recording {
     /// Interned names: event kinds and checkpoint component names.
     pub names: Vec<String>,
     /// The event stream, in dispatch order.
-    pub events: Vec<EventFrame>,
+    pub events: EventLog,
     /// Periodic checkpoints, in event order.
     pub checkpoints: Vec<CheckpointFrame>,
     /// State hash after the final event.
@@ -218,9 +401,10 @@ impl Recording {
         self.names.get(idx as usize).map_or("?", |s| s.as_str())
     }
 
-    /// Serialize to the versioned binary format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + self.events.len() * 12);
+    /// Write the versioned binary format to `w`: the header, the event
+    /// section as it sits in memory, then the checkpoints one by one.
+    fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
+        let mut buf = Vec::with_capacity(64);
         buf.extend_from_slice(&MAGIC);
         write_varint(&mut buf, VERSION);
         write_str(&mut buf, &self.stage);
@@ -230,13 +414,9 @@ impl Recording {
             write_str(&mut buf, n);
         }
         write_varint(&mut buf, self.events.len() as u64);
-        let mut prev = 0u64;
-        for e in &self.events {
-            write_varint(&mut buf, e.time.saturating_sub(prev));
-            prev = e.time;
-            write_varint(&mut buf, e.kind as u64);
-            write_u64_le(&mut buf, e.digest);
-        }
+        w.write_all(&buf)?;
+        w.write_all(&self.events.bytes)?;
+        buf.clear();
         write_varint(&mut buf, self.checkpoints.len() as u64);
         for c in &self.checkpoints {
             write_varint(&mut buf, c.event_index);
@@ -252,12 +432,33 @@ impl Recording {
                 Some(p) => {
                     buf.push(1);
                     write_varint(&mut buf, p.len() as u64);
-                    buf.extend_from_slice(p);
+                    w.write_all(&buf)?;
+                    buf.clear();
+                    w.write_all(p)?;
                 }
             }
         }
         write_u64_le(&mut buf, self.final_hash);
-        buf
+        w.write_all(&buf)
+    }
+
+    /// Serialize to the versioned binary format.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        // Reserve an upper bound on the encoded size, counting 10 bytes
+        // per varint: the header up to the event count is 52 bytes plus
+        // the stage and the names, a checkpoint 49 plus 18 per component
+        // and its payload, and the checkpoint count and final hash 18.
+        let names: usize = self.names.iter().map(|n| 10 + n.len()).sum();
+        let ckpts: usize = self
+            .checkpoints
+            .iter()
+            .map(|c| 49 + 18 * c.components.len() + c.payload.as_ref().map_or(0, Vec::len))
+            .sum();
+        let mut out =
+            Vec::with_capacity(70 + self.stage.len() + names + self.events.bytes.len() + ckpts);
+        // Writing into a `Vec` cannot fail.
+        let _ = self.write_to(&mut out);
+        out
     }
 
     /// Parse the versioned binary format (strict: trailing bytes are an
@@ -275,8 +476,7 @@ impl Recording {
         let stage = read_str(bytes, &mut pos)?;
         let config_digest = read_u64_le(bytes, &mut pos)?;
         let name_count = read_varint(bytes, &mut pos)? as usize;
-        // Minimum encoded sizes: a name is a 1-byte length; an event a
-        // 1-byte delta, a 1-byte kind and an 8-byte digest; a checkpoint
+        // Minimum encoded sizes: a name is a 1-byte length; a checkpoint
         // two 1-byte varints, an 8-byte hash, a 1-byte component count and
         // a 1-byte payload flag; a component a 1-byte name and an 8-byte
         // digest.
@@ -285,18 +485,8 @@ impl Recording {
             names.push(read_str(bytes, &mut pos)?);
         }
         let event_count = read_varint(bytes, &mut pos)? as usize;
-        let mut events = Vec::with_capacity(bounded_capacity(event_count, 10, bytes.len() - pos));
-        let mut prev = 0u64;
-        for _ in 0..event_count {
-            let dt = read_varint(bytes, &mut pos)?;
-            let time = prev
-                .checked_add(dt)
-                .ok_or_else(|| "event time overflows".to_string())?;
-            prev = time;
-            let kind = read_varint(bytes, &mut pos)? as u32;
-            let digest = read_u64_le(bytes, &mut pos)?;
-            events.push(EventFrame { time, kind, digest });
-        }
+        let events = EventLog::decode(&bytes[pos..], event_count)?;
+        pos += events.bytes.len();
         let ckpt_count = read_varint(bytes, &mut pos)? as usize;
         let mut checkpoints =
             Vec::with_capacity(bounded_capacity(ckpt_count, 12, bytes.len() - pos));
@@ -308,7 +498,9 @@ impl Recording {
             let mut components =
                 Vec::with_capacity(bounded_capacity(comp_count, 9, bytes.len() - pos));
             for _ in 0..comp_count {
-                let name = read_varint(bytes, &mut pos)? as u32;
+                let name = read_varint(bytes, &mut pos)?;
+                let name = u32::try_from(name)
+                    .map_err(|_| format!("component name {name} overflows u32"))?;
                 let digest = read_u64_le(bytes, &mut pos)?;
                 components.push((name, digest));
             }
@@ -351,9 +543,12 @@ impl Recording {
         })
     }
 
-    /// Write to a file.
+    /// Write to a file, streaming the encoding through a buffer rather
+    /// than building it whole first.
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
+        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
+        self.write_to(&mut w)?;
+        w.flush()
     }
 
     /// Read from a file.
@@ -417,6 +612,10 @@ impl Recorder {
     /// replacing any boundary checkpoint that landed on the same event
     /// index, and the [`Replayer`](crate::replay::Replayer) performs the
     /// terminal step before checking it.
+    ///
+    /// # Panics
+    ///
+    /// If `subject` steps back in time (see [`EventLog::push`]).
     pub fn record<S: ReplaySubject + ?Sized>(mut self, subject: &mut S) -> Recording {
         let mut n = 0u64;
         // Event kinds are a handful of `&'static str` labels: resolve
@@ -662,7 +861,9 @@ fn write_dir_ckpt(buf: &mut Vec<u8>, d: &DirCheckpoint) {
 
 fn read_dir_ckpt(bytes: &[u8], pos: &mut usize) -> Result<DirCheckpoint, String> {
     let n = read_varint(bytes, pos)? as usize;
-    let mut queue = Vec::with_capacity(n.min(1 << 16));
+    // A packet takes 11 bytes at least: a 1-byte id, a 5-byte key, a
+    // 1-byte header tag, and 1-byte size, ttl, send time and payload.
+    let mut queue = Vec::with_capacity(bounded_capacity(n, 11, bytes.len() - *pos));
     for _ in 0..n {
         queue.push(read_packet(bytes, pos)?);
     }
@@ -772,7 +973,12 @@ pub fn engine_checkpoint_from_bytes(bytes: &[u8]) -> Result<EngineCheckpoint, St
         events.push((t, read_event(bytes, &mut pos)?));
     }
     let n_links = read_varint(bytes, &mut pos)? as usize;
-    let mut links = Vec::with_capacity(n_links.min(1 << 16));
+    // Minimum encoded sizes: a link is a 1-byte flag, two 11-byte
+    // directions (queue count, in-flight flag, 8-byte drop probability,
+    // jitter tag) and two 6-byte stats; a logic a 1-byte flag; a routing
+    // row a 1-byte column count and a column a 1-byte tag; a prefix a
+    // 1-byte address, a length byte and a 1-byte node.
+    let mut links = Vec::with_capacity(bounded_capacity(n_links, 35, bytes.len() - pos));
     for _ in 0..n_links {
         let up = read_u8(bytes, &mut pos)? != 0;
         let ab = read_dir_ckpt(bytes, &mut pos)?;
@@ -788,7 +994,7 @@ pub fn engine_checkpoint_from_bytes(bytes: &[u8]) -> Result<EngineCheckpoint, St
         });
     }
     let n_logics = read_varint(bytes, &mut pos)? as usize;
-    let mut logics = Vec::with_capacity(n_logics.min(1 << 16));
+    let mut logics = Vec::with_capacity(bounded_capacity(n_logics, 1, bytes.len() - pos));
     for _ in 0..n_logics {
         logics.push(match read_u8(bytes, &mut pos)? {
             0 => None,
@@ -806,17 +1012,17 @@ pub fn engine_checkpoint_from_bytes(bytes: &[u8]) -> Result<EngineCheckpoint, St
         });
     }
     let n_rows = read_varint(bytes, &mut pos)? as usize;
-    let mut routing = Vec::with_capacity(n_rows.min(1 << 16));
+    let mut routing = Vec::with_capacity(bounded_capacity(n_rows, 1, bytes.len() - pos));
     for _ in 0..n_rows {
         let n_cols = read_varint(bytes, &mut pos)? as usize;
-        let mut row = Vec::with_capacity(n_cols.min(1 << 16));
+        let mut row = Vec::with_capacity(bounded_capacity(n_cols, 1, bytes.len() - pos));
         for _ in 0..n_cols {
             row.push(read_opt_varint(bytes, &mut pos)?.map(|h| NodeId(h as usize)));
         }
         routing.push(row);
     }
     let n_prefixes = read_varint(bytes, &mut pos)? as usize;
-    let mut prefixes = Vec::with_capacity(n_prefixes.min(1 << 16));
+    let mut prefixes = Vec::with_capacity(bounded_capacity(n_prefixes, 3, bytes.len() - pos));
     for _ in 0..n_prefixes {
         let addr = Addr(read_varint(bytes, &mut pos)? as u32);
         let len = read_u8(bytes, &mut pos)?;
@@ -904,7 +1110,8 @@ fn write_selector_snapshot(buf: &mut Vec<u8>, s: &SelectorSnapshot) {
 
 fn read_selector_snapshot(bytes: &[u8], pos: &mut usize) -> Result<SelectorSnapshot, String> {
     let n = read_varint(bytes, pos)? as usize;
-    let mut cells = Vec::with_capacity(n.min(1 << 16));
+    // One 1-byte flag per cell at least.
+    let mut cells = Vec::with_capacity(bounded_capacity(n, 1, bytes.len() - *pos));
     for _ in 0..n {
         cells.push(match read_u8(bytes, pos)? {
             0 => None,
@@ -1174,12 +1381,26 @@ mod tests {
         engine.extend([0u8; 32]); // rng
         engine.extend([0, 0]); // next_pkt_id, started
         assert!(truncated(engine_checkpoint_from_bytes(&forged(&engine))), "events");
-        engine.extend([0, 0, 0, 0]); // events, links, logics, routing
-        engine.push(0); // prefixes
+        engine.push(0); // no events
+        assert!(truncated(engine_checkpoint_from_bytes(&forged(&engine))), "links");
+        let mut one_link = engine.clone();
+        one_link.extend([1, 0]); // one link, down
+        assert!(truncated(engine_checkpoint_from_bytes(&forged(&one_link))), "link queue");
+        engine.push(0); // no links
+        assert!(truncated(engine_checkpoint_from_bytes(&forged(&engine))), "logics");
+        engine.push(0); // no logics
+        assert!(truncated(engine_checkpoint_from_bytes(&forged(&engine))), "routing rows");
+        let mut one_row = engine.clone();
+        one_row.push(1); // one routing row
+        assert!(truncated(engine_checkpoint_from_bytes(&forged(&one_row))), "routing columns");
+        engine.push(0); // no routing rows
+        assert!(truncated(engine_checkpoint_from_bytes(&forged(&engine))), "prefixes");
+        engine.push(0); // no prefixes
         engine.extend([0u8; 8]); // state hash
         assert!(engine_checkpoint_from_bytes(&engine).is_ok());
 
         let mut fastsim = vec![0u8; 32]; // rng
+        assert!(truncated(attack_sim_snapshot_from_bytes(&forged(&fastsim))), "selector cells");
         fastsim.extend([0u8; 9]); // no cells, last_reset, resets, six stats
         fastsim.push(1); // residencies present
         assert!(truncated(attack_sim_snapshot_from_bytes(&forged(&fastsim))), "residencies");
@@ -1191,6 +1412,144 @@ mod tests {
         assert!(truncated(attack_sim_snapshot_from_bytes(&forged(&fastsim))), "series");
         fastsim.extend([0, 0, 0, 0, 0]); // series, next_sample, takeover, packets, done
         assert!(attack_sim_snapshot_from_bytes(&fastsim).is_ok());
+    }
+
+    /// A small recording with one- to six-byte event deltas, two event
+    /// kinds and two checkpoints, one of them with a payload.
+    fn sample() -> Recording {
+        let mut rec = Recording {
+            stage: "sample".into(),
+            config_digest: 0x0123_4567_89AB_CDEF,
+            final_hash: 0xFEED,
+            ..Recording::default()
+        };
+        let kinds = [rec.intern("deliver"), rec.intern("timer")];
+        let mut time = 0u64;
+        for (i, dt) in [0u64, 1, 127, 128, 300_000, 1 << 35].into_iter().enumerate() {
+            time += dt;
+            rec.events.push(EventFrame {
+                time,
+                kind: kinds[i % 2],
+                digest: dui_stats::rng::hash64(i as u64),
+            });
+        }
+        let rng = rec.intern("rng");
+        rec.checkpoints.push(CheckpointFrame {
+            event_index: 0,
+            time: 0,
+            state_hash: 1,
+            components: vec![(rng, 2)],
+            payload: None,
+        });
+        rec.checkpoints.push(CheckpointFrame {
+            event_index: 6,
+            time,
+            state_hash: 3,
+            components: vec![(rng, 4), (kinds[0], 5)],
+            payload: Some(vec![9, 8, 7]),
+        });
+        rec
+    }
+
+    #[test]
+    fn truncations_and_bit_flips_never_panic() {
+        let rec = sample();
+        let bytes = rec.to_bytes();
+        assert_eq!(Recording::from_bytes(&bytes).as_ref(), Ok(&rec));
+        for end in 0..bytes.len() {
+            assert!(Recording::from_bytes(&bytes[..end]).is_err(), "truncated at {end}");
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(back) = Recording::from_bytes(&flipped) {
+                assert_eq!(back.to_bytes(), flipped, "bit {bit} decodes but re-encodes differently");
+            }
+        }
+    }
+
+    #[test]
+    fn event_decoder_accepts_only_canonical_frames() {
+        let decode = |section: &[u8]| EventLog::decode(section, 1);
+        let mut ok = vec![5, 1];
+        ok.extend([0u8; 8]);
+        assert!(decode(&ok).is_ok());
+        let mut overlong = vec![0x85, 0x00, 1];
+        overlong.extend([0u8; 8]);
+        assert!(decode(&overlong).is_err_and(|e| e.contains("overlong")));
+        let mut wide_kind = vec![0];
+        write_varint(&mut wide_kind, 1 << 32);
+        wide_kind.extend([0u8; 8]);
+        assert!(decode(&wide_kind).is_err_and(|e| e.contains("kind overflows")));
+        let mut late = EventLog::default();
+        late.push(EventFrame {
+            time: u64::MAX,
+            kind: 0,
+            digest: 0,
+        });
+        let mut after = late.bytes.clone();
+        after.extend(&ok);
+        assert!(EventLog::decode(&after, 2).is_err_and(|e| e.contains("time overflows")));
+    }
+
+    /// Steps at 10 ns, then at 5 ns.
+    struct Backwards(u64);
+
+    impl ReplaySubject for Backwards {
+        fn config_digest(&self) -> u64 {
+            0
+        }
+
+        fn now_ns(&self) -> u64 {
+            self.0
+        }
+
+        fn step(&mut self) -> Option<crate::replay::StepInfo> {
+            self.0 = match self.0 {
+                0 => 10,
+                10 => 5,
+                _ => return None,
+            };
+            Some(crate::replay::StepInfo {
+                time: self.0,
+                kind: "tick",
+                digest: 0,
+            })
+        }
+
+        fn state_hash(&self) -> u64 {
+            self.0
+        }
+
+        fn component_digests(&self) -> Vec<(&'static str, u64)> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "event 1 at 5 ns precedes the previous event at 10 ns")]
+    fn recorder_refuses_a_clock_that_runs_backwards() {
+        Recorder::new("backwards", 0, 1).record(&mut Backwards(0));
+    }
+
+    #[test]
+    fn save_writes_what_to_bytes_returns() {
+        let mut rec = sample();
+        // Enough events that the event section outgrows the write buffer.
+        let last = rec.events.iter().last().map_or(0, |e| e.time);
+        for i in 0..5_000u64 {
+            rec.events.push(EventFrame {
+                time: last + i * 1_000,
+                kind: 1,
+                digest: i,
+            });
+        }
+        rec.checkpoints[1].event_index = rec.events.len() as u64;
+        let path = std::env::temp_dir().join(format!("dui-replay-save-{}.duir", std::process::id()));
+        rec.save(&path).unwrap();
+        let written = std::fs::read(&path);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(written.unwrap(), rec.to_bytes());
     }
 
     #[test]

@@ -38,7 +38,10 @@ pub trait ReplaySubject {
     /// Current simulated time (ns).
     fn now_ns(&self) -> u64;
 
-    /// Advance by one event; `None` when the run is complete.
+    /// Advance by one event; `None` when the run is complete. Event
+    /// times never decrease: a recording stores each as a delta from the
+    /// one before, and [`EventLog::push`](crate::record::EventLog::push)
+    /// panics on a step back in time.
     fn step(&mut self) -> Option<StepInfo>;
 
     /// Full state hash right now.
@@ -252,6 +255,7 @@ impl<'a> Replayer<'a> {
     /// checkpoint in `ckpts` when its event index is reached. The final
     /// checkpoint (at the last event index) is recorded *after* the
     /// terminal step, so the terminal step runs before it is checked.
+    /// Reaching event `start` decodes the events before it.
     fn drive<'c, S: ReplaySubject + ?Sized>(
         &self,
         subject: &mut S,
@@ -263,7 +267,7 @@ impl<'a> Replayer<'a> {
         let mut ckpts = ckpts.peekable();
         let mut verified = already_verified;
         let mut applied = start;
-        while applied < total {
+        for frame in self.rec.events.iter().skip(start as usize) {
             while let Some((i, c)) = ckpts.peek() {
                 if c.event_index != applied {
                     break;
@@ -272,7 +276,6 @@ impl<'a> Replayer<'a> {
                 verified += 1;
                 ckpts.next();
             }
-            let frame = &self.rec.events[applied as usize];
             let Some(step) = subject.step() else {
                 return Err(ReplayError::LengthMismatch {
                     recorded: total,
@@ -501,6 +504,25 @@ mod tests {
                 assert!(components.iter().any(|c| c.name == "rng"));
             }
             other => panic!("expected HashMismatch at checkpoint 0, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn resume_from_every_checkpoint_matches_full_replay() {
+        let mut subject = Counter::new(9, 50);
+        let rec = Recorder::new("counter", subject.config_digest(), 8).record(&mut subject);
+        let full = Replayer::new(&rec).verify(&mut Counter::new(9, 50)).unwrap();
+        for (idx, ckpt) in rec.checkpoints.iter().enumerate() {
+            let mut fresh = Counter::new(9, 50);
+            let report = Replayer::new(&rec).resume_from(&mut fresh, idx).unwrap();
+            assert_eq!(report.events, full.events - ckpt.event_index, "checkpoint {idx}");
+            assert_eq!(
+                report.checkpoints_verified,
+                (rec.checkpoints.len() - idx) as u64,
+                "checkpoint {idx}"
+            );
+            assert_eq!(report.final_hash, full.final_hash, "checkpoint {idx}");
+            assert_eq!(fresh.total, subject.total, "checkpoint {idx}");
         }
     }
 

@@ -18,6 +18,7 @@ use dui_blink::fastsim::{AttackSim, AttackSimConfig, AttackSimSnapshot};
 use dui_netsim::sim::{EngineCheckpoint, Simulator};
 use dui_netsim::time::SimTime;
 use dui_stats::digest::StateDigest;
+use std::cell::Cell;
 
 /// Digest of an [`AttackSimConfig`] plus seed: binds a recording to one
 /// exact fast-simulation setup.
@@ -253,11 +254,19 @@ fn engine_component_digests(c: &EngineCheckpoint) -> Vec<(&'static str, u64)> {
 /// Checkpoints are restorable when [`Simulator::checkpoint`] succeeds
 /// (no taps, every node logic saves state); otherwise the recording is
 /// hash-only — still fully verifiable, just not resumable.
+///
+/// Restorability is structural: the taps and the logic types are fixed
+/// once the engine is built. The subject therefore remembers the first
+/// failed checkpoint and skips the attempt from then on, so a hash-only
+/// engine does not serialize its saving logics at every checkpoint only
+/// to have a later one refuse. [`sim_mut`](SimulatorSubject::sim_mut),
+/// through which taps and logics could change, forgets that verdict.
 pub struct SimulatorSubject {
     sim: Simulator,
     end: SimTime,
     config_digest: u64,
     done: bool,
+    hash_only: Cell<bool>,
 }
 
 impl SimulatorSubject {
@@ -270,6 +279,7 @@ impl SimulatorSubject {
             end,
             config_digest,
             done: false,
+            hash_only: Cell::new(false),
         }
     }
 
@@ -280,6 +290,7 @@ impl SimulatorSubject {
 
     /// Mutable access to the wrapped engine.
     pub fn sim_mut(&mut self) -> &mut Simulator {
+        self.hash_only.set(false);
         &mut self.sim
     }
 
@@ -287,6 +298,16 @@ impl SimulatorSubject {
     /// extraction of experiment outputs).
     pub fn into_sim(self) -> Simulator {
         self.sim
+    }
+
+    /// The engine's checkpoint, or `None` if it is hash-only.
+    fn checkpoint(&self) -> Option<EngineCheckpoint> {
+        if self.hash_only.get() {
+            return None;
+        }
+        let c = self.sim.checkpoint().ok();
+        self.hash_only.set(c.is_none());
+        c
     }
 }
 
@@ -325,30 +346,28 @@ impl ReplaySubject for SimulatorSubject {
         // breakdown; with taps or opaque node logics, fall back to the
         // monolithic hash (divergence is then pinned by the event
         // stream, which is exact anyway).
-        match self.sim.checkpoint() {
-            Ok(c) => engine_component_digests(&c),
-            Err(_) => vec![("engine", self.sim.state_hash())],
+        match self.checkpoint() {
+            Some(c) => engine_component_digests(&c),
+            None => vec![("engine", self.sim.state_hash())],
         }
     }
 
     fn save_checkpoint(&self) -> Option<Vec<u8>> {
-        self.sim
-            .checkpoint()
-            .ok()
-            .map(|c| engine_checkpoint_to_bytes(&c))
+        self.checkpoint().map(|c| engine_checkpoint_to_bytes(&c))
     }
 
-    /// One `checkpoint()` attempt and one full state hash per call: a
-    /// restorable engine's checkpoint carries its hash, and a hash-only
-    /// engine's hash doubles as its single `"engine"` component.
+    /// At most one `checkpoint()` attempt and one full state hash per
+    /// call: a restorable engine's checkpoint carries its hash, and a
+    /// hash-only engine's hash doubles as its single `"engine"`
+    /// component.
     fn checkpoint_parts(&self) -> CheckpointParts {
-        match self.sim.checkpoint() {
-            Ok(c) => (
+        match self.checkpoint() {
+            Some(c) => (
                 c.state_hash,
                 engine_component_digests(&c),
                 Some(engine_checkpoint_to_bytes(&c)),
             ),
-            Err(_) => {
+            None => {
                 let h = self.sim.state_hash();
                 (h, vec![("engine", h)], None)
             }

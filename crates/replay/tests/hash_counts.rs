@@ -247,3 +247,54 @@ fn simulator_subject_override_matches_default_path() {
         assert_eq!(fast, default, "restorable={restorable}");
     }
 }
+
+/// A restorable node that counts how often the engine asks for its state.
+struct SaveCounter(Arc<AtomicU64>);
+
+impl NodeLogic for SaveCounter {
+    fn on_packet(&mut self, _ctx: &mut Ctx, _pkt: Packet) {}
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+
+    fn save_state(&self) -> Option<Vec<u8>> {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        Some(Vec::new())
+    }
+}
+
+#[test]
+fn hash_only_engine_asks_saving_logics_once_per_recording() {
+    // Node 0 saves its state, node 1 cannot: every checkpoint attempt
+    // serializes node 0 before node 1 refuses.
+    let saves = Arc::new(AtomicU64::new(0));
+    let mut b = TopologyBuilder::new();
+    let sink = Addr::new(10, 0, 0, 1);
+    let h1 = b.host("h1", sink);
+    let h2 = b.host("h2", Addr::new(10, 0, 0, 2));
+    b.link(h1, h2, Bandwidth::mbps(100), SimDuration::from_millis(1), 64);
+    let mut sim = Simulator::new(b.build(), 7);
+    sim.set_logic(h1, Box::new(SaveCounter(Arc::clone(&saves))));
+    sim.set_logic(
+        h2,
+        Box::new(Ticker {
+            dst: sink,
+            sent: 0,
+            digests: Arc::new(AtomicU64::new(0)),
+            restorable: false,
+        }),
+    );
+    let mut subject =
+        SimulatorSubject::new(sim, SimTime::ZERO + SimDuration::from_millis(200), 0);
+    let rec = Recorder::new("hash-only", subject.config_digest(), 100).record(&mut subject);
+    assert!(rec.checkpoints.len() > 3, "several checkpoints");
+    assert!(rec.checkpoints.iter().all(|c| c.payload.is_none()), "hash-only");
+    assert_eq!(saves.load(Ordering::Relaxed), 1, "one save_state call per recording");
+    assert_eq!(subject.save_checkpoint(), None);
+    assert_eq!(subject.component_digests(), vec![("engine", subject.state_hash())]);
+    assert_eq!(saves.load(Ordering::Relaxed), 1, "the verdict holds for every method");
+    subject.sim_mut();
+    assert_eq!(subject.save_checkpoint(), None);
+    assert_eq!(saves.load(Ordering::Relaxed), 2, "sim_mut forgets the verdict");
+}

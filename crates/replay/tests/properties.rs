@@ -22,6 +22,53 @@ fn small_fastsim_cfg(g: &mut Gen) -> AttackSimConfig {
     }
 }
 
+/// `Recording::to_bytes` as it was when the event stream was held as a
+/// `Vec<EventFrame>` and encoded frame by frame: the reference the event
+/// log's bytes must match.
+fn per_frame_encoding(rec: &Recording, frames: &[EventFrame]) -> Vec<u8> {
+    let str = |buf: &mut Vec<u8>, s: &str| {
+        write_varint(buf, s.len() as u64);
+        buf.extend_from_slice(s.as_bytes());
+    };
+    let mut buf = b"DUIR".to_vec();
+    write_varint(&mut buf, 1);
+    str(&mut buf, &rec.stage);
+    buf.extend_from_slice(&rec.config_digest.to_le_bytes());
+    write_varint(&mut buf, rec.names.len() as u64);
+    for n in &rec.names {
+        str(&mut buf, n);
+    }
+    write_varint(&mut buf, frames.len() as u64);
+    let mut prev = 0u64;
+    for e in frames {
+        write_varint(&mut buf, e.time.saturating_sub(prev));
+        prev = e.time;
+        write_varint(&mut buf, e.kind as u64);
+        buf.extend_from_slice(&e.digest.to_le_bytes());
+    }
+    write_varint(&mut buf, rec.checkpoints.len() as u64);
+    for c in &rec.checkpoints {
+        write_varint(&mut buf, c.event_index);
+        write_varint(&mut buf, c.time);
+        buf.extend_from_slice(&c.state_hash.to_le_bytes());
+        write_varint(&mut buf, c.components.len() as u64);
+        for (name, digest) in &c.components {
+            write_varint(&mut buf, *name as u64);
+            buf.extend_from_slice(&digest.to_le_bytes());
+        }
+        match &c.payload {
+            None => buf.push(0),
+            Some(p) => {
+                buf.push(1);
+                write_varint(&mut buf, p.len() as u64);
+                buf.extend_from_slice(p);
+            }
+        }
+    }
+    buf.extend_from_slice(&rec.final_hash.to_le_bytes());
+    buf
+}
+
 /// A small two-link packet scenario with optional faults, partially run
 /// so checkpoints carry pending events and queued packets.
 fn partial_engine(g: &mut Gen) -> Simulator {
@@ -74,6 +121,9 @@ prop_check! {
         prop_assert_eq!(pos, buf.len());
     }
 
+    // Any non-decreasing frame sequence comes back from the event log
+    // exactly, and the recording encodes byte for byte as the old
+    // per-frame encoder did and decodes to itself.
     fn recording_codec_round_trips(g) {
         let mut rec = Recording {
             stage: "prop".into(),
@@ -82,12 +132,21 @@ prop_check! {
             ..Recording::default()
         };
         let kinds = [rec.intern("a"), rec.intern("b")];
-        let n = g.usize(0..40);
+        // Deltas of every varint length; kinds in and past the names table.
+        let mut frames = Vec::new();
         let mut t = 0u64;
-        for _ in 0..n {
-            t += g.u64(0..1_000_000);
-            let kind = kinds[g.usize(0..2)];
-            rec.events.push(EventFrame { time: t, kind, digest: g.any_u64() });
+        for _ in 0..g.usize(0..60) {
+            let dt = match g.u8(0..4) {
+                0 => 0,
+                1 => g.u64(1..128),
+                2 => g.u64(128..1 << 28),
+                _ => g.any_u64() >> g.u32(0..64),
+            };
+            t = t.saturating_add(dt);
+            let kind = if g.bool() { kinds[g.usize(0..2)] } else { g.any_u32() };
+            let frame = EventFrame { time: t, kind, digest: g.any_u64() };
+            frames.push(frame);
+            rec.events.push(frame);
         }
         let ckpts = g.usize(0..4);
         for i in 0..ckpts {
@@ -104,7 +163,10 @@ prop_check! {
                 payload,
             });
         }
+        prop_assert_eq!(rec.events.len(), frames.len());
+        prop_assert_eq!(rec.events.iter().collect::<Vec<_>>(), frames);
         let bytes = rec.to_bytes();
+        prop_assert_eq!(bytes, per_frame_encoding(&rec, &frames));
         let back = Recording::from_bytes(&bytes).unwrap();
         prop_assert_eq!(back, rec);
     }

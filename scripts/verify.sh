@@ -118,6 +118,19 @@ FSDIR="$(mktemp -d)"
 rm -rf "$FSDIR"
 echo "flow-scale deterministic columns byte-identical at --jobs 1 vs 4: OK"
 
+echo "== benchmark correctness (crates/bench/perf, seed 1, one pass) =="
+# Each workload once at seed 1 with its correctness checks: the pinned
+# final hash, delivered count and per-layer count digest (which covers
+# replay.bytes_per_event), so a change to the event stream or the
+# recording's wire format fails here and not only in the benchmark.
+for w in blink_takeover pcc_equalizer flow_lifecycle record_verify; do
+  CARGO_TARGET_DIR="$PWD/target/bench-perf" \
+    python3 crates/bench/perf/run.py --workload "$w" --seed 1 --seconds 0 --trace 0 >/dev/null
+done
+CARGO_TARGET_DIR="$PWD/target/bench-perf" \
+  cargo test -q --release --offline --manifest-path crates/bench/perf/Cargo.toml
+echo "benchmark checks: OK"
+
 echo "== docs (intra-repo links) =="
 bash scripts/check_docs.sh
 echo "docs links: OK"
